@@ -218,8 +218,6 @@ class Q1Tables:
             self.trace_gy[edge] = g[:, :, 1].T / dy
             mid = pts.mean(axis=0)
             self.trace_phi_mid[edge] = basis_values(mid)      # (4,)
-        # integral of each trace over the reference edge
-        self.trace_int = {e: self.trace_phi[e] @ self.face_w for e in edge_points}
 
         self.elem_dofs = (4 * np.arange(mesh.n_elements)[:, None]
                           + np.arange(4)[None, :])

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field, replace
 
 from . import solver
 from .assembly import SchemeConfig
-from .manufactured import ManufacturedCase, case_by_name
+from .manufactured import (ExpressionError, ManufacturedCase, case_by_name,
+                           parse_expression)
 from .mesh import build_uniform_mesh
 from .physics import FluidProperties
 from .solver import TimeConfig
@@ -60,6 +61,13 @@ class RunConfig:
         if self.case == "custom" and not (
                 self.pressure_expr and self.sat_a_expr and self.sat_v_expr):
             raise ConfigError("custom case needs pressure/sat_a/sat_v expressions")
+        for name in ("pressure_expr", "sat_a_expr", "sat_v_expr"):
+            text = getattr(self, name)
+            if text is not None:
+                try:
+                    parse_expression(text)
+                except ExpressionError as exc:
+                    raise ConfigError(f"{name}: {exc}") from None
 
     def scheme(self) -> SchemeConfig:
         return SchemeConfig(theta_p=self.theta[0], theta_a=self.theta[1],

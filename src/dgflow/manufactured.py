@@ -10,7 +10,9 @@ finite-difference oracle in the test suite guards the algebra.
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import sympy as sp
@@ -29,16 +31,66 @@ SAT_V_EXPR = "(3 - cos(t + x)) / 8"
 
 _SYMBOLS = {"t": _T, "x": _X, "y": _Y}
 
+#: what an expression given as text may contain besides number literals
+_NAMES = frozenset({"t", "x", "y", "pi"})
+_FUNCTIONS = frozenset({"sin", "cos", "exp", "log", "sqrt"})
+_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Load, ast.Add, ast.Sub,
+          ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub)
+
+
+class ExpressionError(ValueError):
+    """A field expression given as text is not allowed or cannot be evaluated."""
+
+
+def parse_expression(text: str) -> sp.Expr:
+    """Sympy expression of a field given as text.
+
+    ``text`` may hold number literals, the names ``t, x, y, pi``, the
+    operators ``+ - * / **``, unary signs and one-argument calls of ``sin
+    cos exp log sqrt``.  This is checked on the Python syntax tree before
+    sympy sees the text, because sympy's parser evaluates what it is
+    given.  Anything else, or text sympy cannot evaluate (a division by a
+    literal ``0.0``), raises :class:`ExpressionError`.
+    """
+    try:
+        tree = ast.parse(text, mode="eval")
+    except (SyntaxError, ValueError) as exc:
+        raise ExpressionError(f"cannot parse {text!r}: {exc}") from None
+    called = set()
+    for node in ast.walk(tree):   # iterative, parents before children
+        if isinstance(node, ast.Call):
+            allowed = (isinstance(node.func, ast.Name) and node.func.id in _FUNCTIONS
+                       and len(node.args) == 1 and not node.keywords)
+            called.add(id(node.func))
+        elif isinstance(node, ast.Name):
+            allowed = node.id in _NAMES or id(node) in called
+        elif isinstance(node, ast.Constant):
+            allowed = type(node.value) in (int, float)
+        else:
+            allowed = isinstance(node, _NODES)
+        if not allowed:
+            what = ast.unparse(node) if isinstance(node, ast.expr) else type(node).__name__
+            raise ExpressionError(
+                f"{what!r} is not allowed in {text!r}; use t, x, y, pi, numbers, "
+                f"+ - * / ** and one-argument {', '.join(sorted(_FUNCTIONS))}")
+    try:
+        return sp.sympify(text, locals=_SYMBOLS)
+    except (sp.SympifyError, ArithmeticError) as exc:
+        raise ExpressionError(f"cannot evaluate {text!r}: {exc!r}") from None
+
 
 def _as_expr(expr):
-    """Sympify and rebind any plain t/x/y symbols to the module's own."""
-    e = sp.sympify(expr, locals=_SYMBOLS)
+    """Sympy expression of a field (text goes through
+    :func:`parse_expression`); plain t/x/y symbols are rebound to the
+    module's own."""
+    e = parse_expression(expr) if isinstance(expr, str) else sp.sympify(expr, strict=True)
     rebind = {s: _SYMBOLS[s.name] for s in e.free_symbols if s.name in _SYMBOLS}
     return e.subs(rebind) if rebind else e
 
 
 def _lambdify(expr):
-    fn = sp.lambdify((_T, _X, _Y), expr, modules="numpy")
+    # common subexpressions once: the sources repeat the closures many times
+    fn = sp.lambdify((_T, _X, _Y), expr, modules="numpy", cse=True)
 
     def wrapped(t, x, y):
         shape = np.broadcast_shapes(np.shape(t), np.shape(x), np.shape(y))
@@ -110,23 +162,22 @@ class ManufacturedCase:
         sv = _as_expr(sat_v)
         self._exprs = (p, sa, sv)
 
+        # what a time step evaluates is built here; the rest on first use
         self.pressure = _lambdify(p)
         self.sat_a = _lambdify(sa)
         self.sat_v = _lambdify(sv)
-        self.pressure_grad = _lambdify_vec(sp.diff(p, _X), sp.diff(p, _Y))
-        self.sat_a_grad = _lambdify_vec(sp.diff(sa, _X), sp.diff(sa, _Y))
-        self.sat_v_grad = _lambdify_vec(sp.diff(sv, _X), sp.diff(sv, _Y))
-        self.sat_a_dt = _lambdify(sp.diff(sa, _T))
-        self.sat_v_dt = _lambdify(sp.diff(sv, _T))
-
-        self._build_sources(p, sa, sv)
+        self._sources, self._fluxes = self._expand(p, sa, sv)
+        self.source_total = _lambdify(self._sources["total"])
+        self.source_aqueous = _lambdify(self._sources["aqueous"])
+        self.source_vapor = _lambdify(self._sources["vapor"])
 
         # Dirichlet data are the exact traces.
         self.boundary_pressure = self.pressure
         self.boundary_sat_a = self.sat_a
         self.boundary_sat_v = self.sat_v
 
-    def _build_sources(self, p, sa, sv):
+    def _expand(self, p, sa, sv):
+        """Symbolic phase sources and Neumann fluxes of the exact fields."""
         f = self.fluids
         kappa = float(np.asarray(f.permeability))
         gx, gy = (float(c) for c in f.gravity)
@@ -144,41 +195,71 @@ class ManufacturedCase:
         phase_p = {"l": p, "v": p + p_cv, "a": p - p_ca}
         s_of = {"l": sl, "v": sv, "a": sa}
 
-        flux = {}
         q = {}
         for j in ("l", "v", "a"):
             fx = kappa * lam[j] * (sp.diff(phase_p[j], _X) - rho[j] * gx)
             fy = kappa * lam[j] * (sp.diff(phase_p[j], _Y) - rho[j] * gy)
-            flux[j] = (fx, fy)
             q[j] = f.porosity * sp.diff(s_of[j], _T) - sp.diff(fx, _X) - sp.diff(fy, _Y)
-
-        self.source_liquid = _lambdify(q["l"])
-        self.source_vapor = _lambdify(q["v"])
-        self.source_aqueous = _lambdify(q["a"])
-        self.source_total = _lambdify(q["l"] + q["v"] + q["a"])
+        sources = {"liquid": q["l"], "vapor": q["v"], "aqueous": q["a"],
+                   "total": q["l"] + q["v"] + q["a"]}
 
         lam_t = lam["l"] + lam["v"] + lam["a"]
         rho_lam_t = sum(rho[j] * lam[j] for j in ("l", "v", "a"))
-        self._flux_p = _lambdify_vec(
-            kappa * lam_t * sp.diff(p, _X) + kappa * lam["v"] * sp.diff(p_cv, _X)
-            - kappa * lam["a"] * sp.diff(p_ca, _X) - kappa * rho_lam_t * gx,
-            kappa * lam_t * sp.diff(p, _Y) + kappa * lam["v"] * sp.diff(p_cv, _Y)
-            - kappa * lam["a"] * sp.diff(p_ca, _Y) - kappa * rho_lam_t * gy,
-        )
         dpca_dsa = PCA_SCALE / (sa + sp.Float(0.01))
-        self._flux_sa = _lambdify_vec(
-            -kappa * lam["a"] * dpca_dsa * sp.diff(sa, _X)
-            + kappa * lam["a"] * sp.diff(p, _X) - rho["a"] * kappa * lam["a"] * gx,
-            -kappa * lam["a"] * dpca_dsa * sp.diff(sa, _Y)
-            + kappa * lam["a"] * sp.diff(p, _Y) - rho["a"] * kappa * lam["a"] * gy,
-        )
         dpcv_dsv = -PCV_SCALE / (sp.Float(1.01) - sv)
-        self._flux_sv = _lambdify_vec(
-            kappa * lam["v"] * dpcv_dsv * sp.diff(sv, _X)
-            + kappa * lam["v"] * sp.diff(p, _X) - rho["v"] * kappa * lam["v"] * gx,
-            kappa * lam["v"] * dpcv_dsv * sp.diff(sv, _Y)
-            + kappa * lam["v"] * sp.diff(p, _Y) - rho["v"] * kappa * lam["v"] * gy,
-        )
+        fluxes = {
+            "pressure": tuple(
+                kappa * lam_t * sp.diff(p, z) + kappa * lam["v"] * sp.diff(p_cv, z)
+                - kappa * lam["a"] * sp.diff(p_ca, z) - kappa * rho_lam_t * g
+                for z, g in ((_X, gx), (_Y, gy))),
+            "sat_a": tuple(
+                -kappa * lam["a"] * dpca_dsa * sp.diff(sa, z)
+                + kappa * lam["a"] * sp.diff(p, z) - rho["a"] * kappa * lam["a"] * g
+                for z, g in ((_X, gx), (_Y, gy))),
+            "sat_v": tuple(
+                kappa * lam["v"] * dpcv_dsv * sp.diff(sv, z)
+                + kappa * lam["v"] * sp.diff(p, z) - rho["v"] * kappa * lam["v"] * g
+                for z, g in ((_X, gx), (_Y, gy))),
+        }
+        return sources, fluxes
+
+    # -- built on first use: a time step never calls these -----------------
+
+    @cached_property
+    def pressure_grad(self):
+        return _lambdify_vec(*(sp.diff(self._exprs[0], z) for z in (_X, _Y)))
+
+    @cached_property
+    def sat_a_grad(self):
+        return _lambdify_vec(*(sp.diff(self._exprs[1], z) for z in (_X, _Y)))
+
+    @cached_property
+    def sat_v_grad(self):
+        return _lambdify_vec(*(sp.diff(self._exprs[2], z) for z in (_X, _Y)))
+
+    @cached_property
+    def sat_a_dt(self):
+        return _lambdify(sp.diff(self._exprs[1], _T))
+
+    @cached_property
+    def sat_v_dt(self):
+        return _lambdify(sp.diff(self._exprs[2], _T))
+
+    @cached_property
+    def source_liquid(self):
+        return _lambdify(self._sources["liquid"])
+
+    @cached_property
+    def _flux_p(self):
+        return _lambdify_vec(*self._fluxes["pressure"])
+
+    @cached_property
+    def _flux_sa(self):
+        return _lambdify_vec(*self._fluxes["sat_a"])
+
+    @cached_property
+    def _flux_sv(self):
+        return _lambdify_vec(*self._fluxes["sat_v"])
 
     # -- spec-level conveniences ------------------------------------------
 

@@ -182,10 +182,6 @@ class Mesh:
         """Largest element diameter (cell diagonal)."""
         return float(np.hypot(self.dx, self.dy))
 
-    @property
-    def elem_diameter(self) -> float:
-        return self.h
-
     def face(self, fid: int) -> Face:
         k2 = int(self.face_k2[fid])
         tag = int(self.face_tag[fid])
@@ -207,14 +203,6 @@ class Mesh:
             [ox, oy + self.dy], [ox + self.dx, oy + self.dy],
         ])
         return Element(id=int(eid), vertices=verts, diameter=self.h)
-
-    @cached_property
-    def faces(self) -> list[Face]:
-        return [self.face(f) for f in range(self.n_faces)]
-
-    @cached_property
-    def elements(self) -> list[Element]:
-        return [self.element(e) for e in range(self.n_elements)]
 
     @cached_property
     def node_coords(self) -> np.ndarray:

@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -180,3 +184,24 @@ def test_cli_flags_override_config_file(tmp_path):
     assert code == 0
     text = out.read_text()
     assert text.startswith("h,dofs")
+
+
+def _python_m_dgflow(*args):
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "dgflow", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_m_dgflow_runs_the_cli():
+    done = _python_m_dgflow("--help")
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: dgflow")
+
+
+def test_python_m_dgflow_forbidden_name_exits_2():
+    done = _python_m_dgflow("--case", "custom", "--pressure-expr", "open('x')",
+                            "--sat-a-expr", "1/4", "--sat-v-expr", "1/4")
+    assert done.returncode == 2
+    assert "not allowed" in done.stderr

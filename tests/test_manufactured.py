@@ -1,0 +1,128 @@
+"""Field expressions given as text, and what a manufactured case builds when.
+
+Text reaches sympy only after a whitelist check on its Python syntax tree,
+because sympy's parser evaluates what it is given.
+"""
+
+import ast
+import keyword
+import os
+
+import pytest
+import sympy as sp
+from hypothesis import given, settings, strategies as st
+
+from dgflow.harness import ConfigError, RunConfig, cli_main
+from dgflow.manufactured import (PRESSURE_EXPR, SAT_A_EXPR, SAT_V_EXPR,
+                                 ExpressionError, _as_expr, constant_densities_case,
+                                 parse_expression)
+
+NAMES = ("t", "x", "y", "pi")
+FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
+
+LEAVES = st.one_of(
+    st.sampled_from(NAMES),
+    st.integers(0, 10**6).map(str),
+    # sympy raises on a literal 0.0 divisor: see test_zero_float_divisor_*
+    st.floats(0.0, 1e6, allow_subnormal=False).filter(bool).map(repr),
+)
+
+
+def _grow(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from("+-*/"), children).map(
+            lambda a: f"({a[0]} {a[1]} {a[2]})"),
+        # small literal exponents: a tower of large powers is valid but
+        # would make sympy compute a huge integer
+        st.tuples(children, st.integers(0, 3)).map(lambda a: f"({a[0]})**{a[1]}"),
+        st.tuples(st.sampled_from("+-"), children).map(lambda a: f"{a[0]}{a[1]}"),
+        st.tuples(st.sampled_from(FUNCTIONS), children).map(lambda a: f"{a[0]}({a[1]})"),
+    )
+
+
+WHITELISTED = st.recursive(LEAVES, _grow, max_leaves=12)
+
+IDENTIFIERS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,8}", fullmatch=True).filter(
+    lambda s: not keyword.iskeyword(s) and s not in NAMES)
+
+FORBIDDEN = st.one_of(
+    IDENTIFIERS,                                                      # other names
+    st.tuples(WHITELISTED, IDENTIFIERS).map(lambda a: f"({a[0]}).{a[1]}"),
+    st.tuples(WHITELISTED, st.integers(0, 3)).map(lambda a: f"({a[0]})[{a[1]}]"),
+    WHITELISTED.map(lambda e: f"(lambda: {e})"),
+    st.tuples(IDENTIFIERS, WHITELISTED).map(lambda a: f"__{a[0]}__({a[1]})"),
+    st.tuples(WHITELISTED, IDENTIFIERS).map(lambda a: f"({a[0]}).__{a[1]}__"),
+    st.tuples(IDENTIFIERS.filter(lambda s: s not in FUNCTIONS), WHITELISTED).map(
+        lambda a: f"{a[0]}({a[1]})"),
+)
+
+
+@st.composite
+def embedded_forbidden(draw):
+    """A forbidden fragment somewhere inside an otherwise whitelisted text."""
+    bad = draw(FORBIDDEN)
+    good = draw(WHITELISTED)
+    return draw(st.sampled_from([
+        bad, f"{good} + {bad}", f"{bad} * ({good})", f"-{bad}",
+        f"sin({bad})", f"({good})**({bad})"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(WHITELISTED)
+def test_whitelisted_expressions_parse(text):
+    expr = _as_expr(text)
+    assert isinstance(expr, sp.Basic)
+    assert {s.name for s in expr.free_symbols} <= {"t", "x", "y"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(embedded_forbidden())
+def test_other_syntax_is_rejected(text):
+    ast.parse(text, mode="eval")   # valid Python: rejected by the whitelist
+    with pytest.raises(ExpressionError, match="is not allowed"):
+        parse_expression(text)
+    with pytest.raises(ConfigError):
+        RunConfig(case="custom", pressure_expr=text, sat_a_expr="1/4",
+                  sat_v_expr="1/4")
+
+
+def test_zero_float_divisor_is_a_configuration_error():
+    with pytest.raises(ExpressionError, match="cannot evaluate"):
+        parse_expression("t + 1.0 / 0.0")
+    assert cli_main(["--case", "custom", "--pressure-expr", "(0.0 / 0.0)",
+                     "--sat-a-expr", "1/4", "--sat-v-expr", "1/4"]) == 2
+
+
+def test_builtin_expressions_give_the_plain_sympify_trees():
+    for text in (PRESSURE_EXPR, SAT_A_EXPR, SAT_V_EXPR):
+        plain = sp.sympify(text, locals={s: sp.Symbol(s, real=True) for s in "txy"})
+        assert _as_expr(text) == plain
+        assert sp.srepr(_as_expr(text)) == sp.srepr(plain)
+
+
+def test_cli_rejects_a_call_without_running_it(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(os, "getpid", lambda: calls.append(1) or 1)
+    code = cli_main(["--case", "custom", "--pressure-expr", '__import__("os").getpid()',
+                     "--sat-a-expr", "1/4", "--sat-v-expr", "1/4", "--levels", "2"])
+    assert code == 2
+    assert calls == []
+    assert "not allowed" in capsys.readouterr().err
+
+
+def test_time_step_callables_are_built_eagerly_the_rest_lazily():
+    case = constant_densities_case()
+    built = vars(case)
+    # perfbench wraps these instance attributes; a step must not build them
+    for name in ("pressure", "sat_a", "sat_v", "source_total", "source_aqueous",
+                 "source_vapor", "boundary_pressure", "boundary_sat_a",
+                 "boundary_sat_v"):
+        assert callable(built[name])
+    lazy = ("pressure_grad", "sat_a_grad", "sat_v_grad", "sat_a_dt", "sat_v_dt",
+            "source_liquid", "_flux_p", "_flux_sa", "_flux_sv")
+    assert not set(lazy) & set(built)
+    case.exact_solution(0.5, 0.25, 0.75)
+    case.source_terms(0.5, 0.25, 0.75)
+    for unknown in ("pressure", "sat_a", "sat_v"):
+        getattr(case, "neumann_" + unknown)(0.5, 0.25, 0.75, (1.0, 0.0))
+    assert set(lazy) <= set(vars(case))

@@ -24,6 +24,17 @@ pressure solution carries a large constant part that amplifies rounding
 in the stiffness matrix, and summing them in matmul order moved the 64x64
 pressure error by 3.9e-10 relative, beyond the 1e-10 the ladder tables
 allow.
+
+Patterns and plans.  Every matrix on a mesh shares the mesh's read-only
+CSR index arrays, and assembly writes only ``data``.  Dirichlet
+elimination keeps one plan per (input pattern, constrained DOFs): which
+input entries it keeps and where they go, where the constrained rows'
+unit diagonals sit, which entries it moves to the right-hand side, and
+the constrained (read-only) pattern.  A call then gathers ``data`` and
+updates the right-hand side in the same order as a plan-free
+elimination, so the result is the same bits whether the plan is new or
+reused.  :class:`PlanCache` holds these plans, and the solver's factor
+plans, keyed by exact comparison of the index arrays.
 """
 
 from __future__ import annotations
@@ -218,16 +229,54 @@ def _block_pattern(mesh: Mesh, interior) -> SimpleNamespace:
         (np.ones(len(used)), cols, np.searchsorted(rows, np.arange(n + 1))),
         shape=(n, n))
     return SimpleNamespace(
-        shape=(n, n), nnz=len(used), indices=template.indices,
-        indptr=template.indptr, scatter=scatter,
-        volume=scatter[:16 * mesh.n_elements])
+        shape=(n, n), nnz=len(used), indices=_frozen(template.indices),
+        indptr=_frozen(template.indptr), scatter=scatter,
+        volume=scatter[:16 * mesh.n_elements].reshape(mesh.n_elements, 16))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _on_pattern(p: SimpleNamespace, data: np.ndarray) -> sps.csr_matrix:
-    # each matrix owns its index arrays, so in-place scipy methods on it
-    # cannot corrupt the cached pattern
-    return sps.csr_matrix((data, p.indices.copy(), p.indptr.copy()),
-                          shape=p.shape)
+    # every matrix on the mesh shares the read-only index arrays: an in-place
+    # scipy method that would change them raises instead of corrupting them
+    return sps.csr_matrix((data, p.indices, p.indptr), shape=p.shape)
+
+
+class PlanCache:
+    """Plans keyed by index arrays, most recently used first, at most
+    ``size`` of them.
+
+    Keys are compared element by element.  A key array that is read-only
+    (a cached pattern) is kept by reference; a writable one is copied, so
+    that changing the caller's array later cannot re-label a plan.  Not
+    safe to share between threads.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self.entries: list[tuple[tuple, object]] = []
+
+    def get(self, key: tuple, build):
+        for i, (k, plan) in enumerate(self.entries):
+            if all(np.array_equal(a, b) for a, b in zip(k, key)):
+                self.entries.insert(0, self.entries.pop(i))
+                return plan
+        plan = build()
+        kept = tuple(a if not a.flags.writeable else a.copy() for a in key)
+        self.entries.insert(0, (kept, plan))
+        del self.entries[self.size:]
+        return plan
+
+    def clear(self):
+        self.entries.clear()
+
+
+#: plans kept per cache: the three unknowns' constraint sets on each level of
+#: a four-level ladder
+PLAN_CACHE_SIZE = 12
 
 
 # -- lagged closure data -----------------------------------------------------
@@ -619,6 +668,9 @@ def _dedupe_constraints(dofs, vals):
     return uniq, vals[first]
 
 
+_dirichlet_plans = PlanCache(PLAN_CACHE_SIZE)
+
+
 def apply_dirichlet(matrix, rhs, dofs, values):
     """Impose prescribed nodal values strongly.
 
@@ -626,37 +678,55 @@ def apply_dirichlet(matrix, rhs, dofs, values):
     columns are eliminated into the right-hand side (which keeps a
     symmetric matrix symmetric).  Works on the CSR arrays directly: entries
     of unconstrained rows and columns keep their order, so a canonical
-    input gives a canonical result.  Returns the new ``(csr_matrix, rhs)``.
+    input gives a canonical result.  The elimination plan depends only on
+    the input pattern and the constrained DOFs, so it is built once per
+    such pair (see :func:`_dirichlet_plan`); a call then gathers ``data``
+    and updates the right-hand side.  Returns the new ``(csr_matrix, rhs)``.
     """
     dofs, values = _dedupe_constraints(np.asarray(dofs, dtype=np.int64),
                                        np.asarray(values, dtype=float))
     A = matrix.tocsr()
+    plan = _dirichlet_plans.get((A.indptr, A.indices, dofs),
+                                lambda: _dirichlet_plan(A, dofs))
+    rhs = np.array(rhs, dtype=float, copy=True)
+    np.subtract.at(rhs, plan.move_rows, A.data[plan.move] * values[plan.move_slot])
+    rhs[dofs] = values
+    data = np.append(A.data, 1.0)[plan.source]
+    return sps.csr_matrix((data, plan.indices, plan.indptr), shape=A.shape), rhs
+
+
+def _dirichlet_plan(A: sps.csr_matrix, dofs: np.ndarray) -> SimpleNamespace:
+    """What :func:`apply_dirichlet` does to one pattern: where each output
+    entry comes from (``source``: an input entry of a free row and a free
+    column, or ``A.nnz`` for the unit diagonal of a constrained row), the
+    entries of free rows in constrained columns it moves to the right-hand
+    side (``move``, with their rows and the positions of their columns in
+    ``dofs``), and the constrained CSR pattern (read-only)."""
     n = A.shape[0]
+    idx = A.indices.dtype
     constrained = np.zeros(n, dtype=bool)
     constrained[dofs] = True
-    val_map = np.zeros(n)
-    val_map[dofs] = values
     row = np.repeat(np.arange(n), np.diff(A.indptr))
     c_row, c_col = constrained[row], constrained[A.indices]
-
-    rhs = np.array(rhs, dtype=float, copy=True)
-    move = ~c_row & c_col
-    np.subtract.at(rhs, row[move], A.data[move] * val_map[A.indices[move]])
-    rhs[dofs] = values
+    move = np.flatnonzero(~c_row & c_col)
 
     # a constrained row keeps a single entry, its unit diagonal
-    keep = ~(c_row | c_col)
+    keep = np.flatnonzero(~(c_row | c_col))
     counts = np.bincount(row[keep], minlength=n)
     counts[dofs] = 1
-    indptr = np.zeros(n + 1, dtype=A.indptr.dtype)
+    indptr = np.zeros(n + 1, dtype=idx)
     np.cumsum(counts, out=indptr[1:])
-    unit = np.zeros(indptr[-1], dtype=bool)
-    unit[indptr[dofs]] = True
-    indices = np.empty(indptr[-1], dtype=A.indices.dtype)
-    data = np.empty(indptr[-1])
-    indices[unit], data[unit] = dofs, 1.0
-    indices[~unit], data[~unit] = A.indices[keep], A.data[keep]
-    return sps.csr_matrix((data, indices, indptr), shape=A.shape), rhs
+    unit = indptr[dofs]
+    free = np.ones(indptr[-1], dtype=bool)
+    free[unit] = False
+    indices = np.empty(indptr[-1], dtype=idx)
+    indices[unit], indices[free] = dofs, A.indices[keep]
+    source = np.full(indptr[-1], A.nnz, dtype=idx)
+    source[free] = keep
+    return SimpleNamespace(
+        source=source, move=move.astype(idx), move_rows=row[move],
+        move_slot=np.searchsorted(dofs, A.indices[move]),
+        indices=_frozen(indices), indptr=_frozen(indptr))
 
 
 # -- the three assemblies ----------------------------------------------------
@@ -686,7 +756,7 @@ def assemble_aqueous(state, p_new, velocity, mesh, cfg, case, tau, t_next,
     if coeffs is None:
         coeffs = LaggedCoefficients(mesh, case.fluids, state.sat_a, state.sat_v)
     matrix = aqueous_form(mesh, cfg, coeffs)
-    matrix.data += _mass_matrix(mesh, case.fluids.porosity / tau).data
+    _add_mass(matrix.data, mesh, case.fluids.porosity / tau)
     rhs = _saturation_rhs(mesh, coeffs, case, t_next, tau, velocity,
                           "a", state.sat_a, cfg, p_new)
     dofs, vals = dirichlet_constraints(mesh, case, "sat_a", t_next)
@@ -709,7 +779,7 @@ def assemble_vapor(state, p_new, sa_new, velocity, mesh, cfg, case, tau, t_next,
     elif coeffs is None:
         coeffs = LaggedCoefficients(mesh, case.fluids, state.sat_a, state.sat_v)
     matrix = vapor_form(mesh, cfg, coeffs)
-    matrix.data += _mass_matrix(mesh, case.fluids.porosity / tau).data
+    _add_mass(matrix.data, mesh, case.fluids.porosity / tau)
     rhs = _saturation_rhs(mesh, coeffs, case, t_next, tau, velocity,
                           "v", state.sat_v, cfg, p_new)
     dofs, vals = dirichlet_constraints(mesh, case, "sat_v", t_next)
@@ -718,14 +788,18 @@ def assemble_vapor(state, p_new, sa_new, velocity, mesh, cfg, case, tau, t_next,
     return LinearSystem(matrix, rhs, dofs, vals)
 
 
+def _add_mass(data, mesh, scale):
+    """Add ``scale`` times the element mass matrix to the volume-block
+    entries of ``data`` on the mesh's DG pattern."""
+    data[_groups(mesh).pattern.volume] += (scale * tables(mesh).mass).ravel()
+
+
 def _mass_matrix(mesh, scale) -> sps.csr_matrix:
     """``scale`` times the element mass matrix, on the mesh's DG pattern
     (its blocks are the volume blocks)."""
-    p = _groups(mesh).pattern
-    data = np.zeros(p.nnz)
-    data[p.volume] = np.broadcast_to(scale * tables(mesh).mass,
-                                     (mesh.n_elements, 4, 4)).ravel()
-    return _on_pattern(p, data)
+    data = np.zeros(_groups(mesh).pattern.nnz)
+    _add_mass(data, mesh, scale)
+    return _on_pattern(_groups(mesh).pattern, data)
 
 
 # -- RT0 velocity projection -------------------------------------------------

@@ -302,3 +302,7 @@ def cli_main(argv=None) -> int:
 
 def main():  # console-script entry point
     sys.exit(cli_main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -71,6 +71,7 @@ def _within3(value, anchor):
     return anchor / 3.0 <= value <= anchor * 3.0
 
 
+@pytest.mark.slow
 def test_criterion_1_first_order_study(ladder_t1):
     rep = ladder_t1
     checks = []
@@ -93,6 +94,7 @@ def test_criterion_1_first_order_study(ladder_t1):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_2_second_order_study(ladder_t2):
     rep = ladder_t2
     lo, hi = RATE_WINDOW_SECOND_ORDER
@@ -108,6 +110,7 @@ def test_criterion_2_second_order_study(ladder_t2):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_3_gravity_studies(ladder_t3, ladder_t4):
     r3, r4 = ladder_t3, ladder_t4
     lo, hi = RATE_WINDOWS_FIRST_ORDER["sa"]

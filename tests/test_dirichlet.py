@@ -53,10 +53,7 @@ def dense_elimination(matrix, rhs, dofs, values):
     return A, b
 
 
-@settings(max_examples=300, deadline=None)
-@given(csr_systems())
-def test_apply_dirichlet_matches_dense_elimination(system):
-    matrix, rhs, dofs, values = system
+def check_against_dense(matrix, rhs, dofs, values):
     M, b = apply_dirichlet(matrix, rhs, dofs, values)
     A_ref, b_ref = dense_elimination(matrix, rhs, dofs, values)
 
@@ -71,6 +68,24 @@ def test_apply_dirichlet_matches_dense_elimination(system):
     coo = matrix.tocoo()
     kept = np.count_nonzero(free[coo.row] & free[coo.col])
     assert M.nnz == kept + len(np.unique(dofs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(csr_systems(), st.data())
+def test_apply_dirichlet_matches_dense_elimination(system, data):
+    matrix, rhs, dofs, values = system
+    check_against_dense(matrix, rhs, dofs, values)
+    plan = assembly._dirichlet_plans.entries[0][1]
+
+    # new values on the same pattern and DOFs reuse the plan
+    n = matrix.shape[0]
+    again = sps.csr_matrix(
+        (data.draw(arrays(float, matrix.nnz, elements=ENTRIES)),
+         matrix.indices, matrix.indptr), shape=(n, n))
+    value_of = data.draw(arrays(float, n, elements=ENTRIES))
+    check_against_dense(again, data.draw(arrays(float, n, elements=ENTRIES)),
+                        dofs, value_of[dofs])
+    assert assembly._dirichlet_plans.entries[0][1] is plan
 
 
 @settings(max_examples=100, deadline=None)
@@ -158,3 +173,57 @@ def test_all_systems_on_a_mesh_share_one_pattern(step_systems):
     for m in raws[1:]:
         assert np.array_equal(m.indices, raws[0].indices)
         assert np.array_equal(m.indptr, raws[0].indptr)
+
+
+# -- the elimination plan ------------------------------------------------------
+
+def test_cold_and_warm_plans_give_identical_bits(step_systems):
+    raw = step_systems["pressure"][1]
+    args = (raw.matrix, raw.rhs, raw.constrained_dofs, raw.constrained_values)
+    assembly._dirichlet_plans.clear()
+    cold = apply_dirichlet(*args)
+    warm = apply_dirichlet(*args)
+    assert len(assembly._dirichlet_plans.entries) == 1
+    for got, want in ((cold[0].data, warm[0].data), (cold[0].indices, warm[0].indices),
+                      (cold[0].indptr, warm[0].indptr), (cold[1], warm[1])):
+        assert np.array_equal(got, want)
+
+
+def test_patterns_with_equal_indptr_never_share_a_plan():
+    # one entry per row, in column 0 or in column 2: equal shape, nnz and
+    # indptr, different indices
+    n = 4
+    indptr = np.arange(n + 1)
+    dofs, values = np.array([0]), np.array([2.0])
+    assembly._dirichlet_plans.clear()
+    for col in (0, 2, 0):
+        matrix = sps.csr_matrix((np.full(n, 3.0), np.full(n, col), indptr),
+                                shape=(n, n))
+        rhs = np.ones(n)
+        M, b = apply_dirichlet(matrix, rhs, dofs, values)
+        A_ref, b_ref = dense_elimination(matrix, rhs, dofs, values)
+        assert np.array_equal(M.toarray(), A_ref) and np.array_equal(b, b_ref)
+    assert len(assembly._dirichlet_plans.entries) == 2
+
+
+def test_plan_keys_do_not_follow_the_callers_arrays():
+    # a writable pattern is copied into the key, so editing it afterwards
+    # cannot make the old plan answer for the new pattern
+    n = 4
+    matrix = sps.csr_matrix((np.full(n, 3.0), np.zeros(n, dtype=np.int32),
+                             np.arange(n + 1)), shape=(n, n))
+    dofs, values = np.array([0]), np.array([2.0])
+    assembly._dirichlet_plans.clear()
+    apply_dirichlet(matrix, np.ones(n), dofs, values)
+    matrix.indices[:] = 2
+    M, b = apply_dirichlet(matrix, np.ones(n), dofs, values)
+    A_ref, b_ref = dense_elimination(matrix, np.ones(n), dofs, values)
+    assert np.array_equal(M.toarray(), A_ref) and np.array_equal(b, b_ref)
+
+
+def test_assembled_patterns_are_read_only(step_systems):
+    for constrained, raw in step_systems.values():
+        for m in (constrained.matrix, raw.matrix):
+            assert not m.indices.flags.writeable and not m.indptr.flags.writeable
+            with pytest.raises(ValueError):
+                m.indices[0] = 1

@@ -1,11 +1,13 @@
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dgflow.harness import (ConfigError, ConvergenceReport, LevelResult,
                             RunConfig, cli_main, convergence_study,
@@ -186,22 +188,93 @@ def test_cli_flags_override_config_file(tmp_path):
     assert text.startswith("h,dofs")
 
 
-def _python_m_dgflow(*args):
+def _python_m(module, *args):
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "dgflow", *args], env=env,
+    return subprocess.run([sys.executable, "-m", module, *args], env=env,
                           capture_output=True, text=True, timeout=120)
 
 
 def test_python_m_dgflow_runs_the_cli():
-    done = _python_m_dgflow("--help")
+    done = _python_m("dgflow", "--help")
     assert done.returncode == 0
     assert done.stdout.startswith("usage: dgflow")
 
 
+def test_python_m_dgflow_harness_runs_the_cli():
+    done = _python_m("dgflow.harness", "--help")
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: dgflow")
+
+
+def test_python_m_dgflow_harness_unknown_case_exits_2():
+    done = _python_m("dgflow.harness", "--case", "starship")
+    assert done.returncode == 2
+    assert "starship" in done.stderr
+
+
 def test_python_m_dgflow_forbidden_name_exits_2():
-    done = _python_m_dgflow("--case", "custom", "--pressure-expr", "open('x')",
-                            "--sat-a-expr", "1/4", "--sat-v-expr", "1/4")
+    done = _python_m("dgflow", "--case", "custom", "--pressure-expr", "open('x')",
+                     "--sat-a-expr", "1/4", "--sat-v-expr", "1/4")
     assert done.returncode == 2
     assert "not allowed" in done.stderr
+
+
+# -- config-file parser properties ----------------------------------------------
+
+KEY = st.from_regex(r"[a-z][a-z0-9]*([-_][a-z0-9]+)*", fullmatch=True)
+# values hold no comment sign and no line break; surrounding blanks are stripped
+VALUE = st.text(st.characters(blacklist_characters="#\n\r", blacklist_categories=("Cs",)),
+                max_size=20).map(str.strip)
+BLANK = st.sampled_from(["", " ", "\t", "  "])
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(KEY, VALUE, BLANK, BLANK, st.booleans()),
+                unique_by=lambda item: item[0].replace("-", "_"), max_size=8),
+       st.lists(st.sampled_from(["", "   ", "# a comment", "  # key = value"]),
+                max_size=4))
+def test_config_file_round_trip(tmp_path, items, filler):
+    lines = list(filler)
+    for key, value, pad1, pad2, comment in items:
+        lines.append(f"{pad1}{key}{pad2}={pad1}{value}{pad2}"
+                     + ("  # trailing = comment" if comment else ""))
+        lines.extend(filler[:1])
+    path = tmp_path / "study.cfg"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    expected = {key.replace("-", "_"): value for key, value, *_ in items}
+    assert read_config_file(str(path)) == expected
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.sampled_from(["", "# note", "levels = 2"]), max_size=5),
+       st.from_regex(r"[a-z][a-z ]*", fullmatch=True))
+def test_config_file_line_without_equals_names_its_line(tmp_path, before, words):
+    path = tmp_path / "bad.cfg"
+    path.write_text("\n".join(before + [words]) + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"{re.escape(str(path))}:{len(before) + 1}:"):
+        read_config_file(str(path))
+
+
+KNOWN_KEYS = ("case", "levels", "h0", "tau_rule", "tau", "t_final", "theta",
+              "alpha", "gravity", "out", "fmt", "format", "pressure_expr",
+              "sat_a_expr", "sat_v_expr")
+# letters that cannot spell a number, "inf" or "nan"
+JUNK = st.text("qwxz", min_size=1, max_size=6)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(
+    KEY.filter(lambda k: k.replace("-", "_") not in KNOWN_KEYS).map(lambda k: (k, "1")),
+    st.tuples(st.sampled_from(["levels", "h0", "tau", "t-final", "theta",
+                               "alpha", "gravity"]), JUNK),
+    st.tuples(st.sampled_from(["case", "tau-rule", "format"]), JUNK)))
+def test_config_file_bad_key_or_value_exits_2(tmp_path, item):
+    key, value = item
+    path = tmp_path / "study.cfg"
+    path.write_text(f"levels = 2\nh0 = 0.5\n{key} = {value}\n", encoding="utf-8")
+    assert cli_main(["--config", str(path)]) == 2

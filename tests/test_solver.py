@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sps
 
-from dgflow import dg_core
+from dgflow import assembly, dg_core, solver
 from dgflow.assembly import LinearSystem, SchemeConfig
 from dgflow.dg_core import DGField, l2_project, l2_norm, tables
 from dgflow.manufactured import ManufacturedCase, constant_densities_case
@@ -212,3 +212,135 @@ def test_solver_error_carries_step_index():
     with pytest.raises((SingularSystemError, NonConvergenceError)) as err:
         advance(state, 0.25, SchemeConfig(), bad)
     assert "step 0 -> 1" in str(err.value)
+
+
+# -- per-pattern solve plans -------------------------------------------------------
+
+def _clear_plans():
+    solver._factor_plans.clear()
+    assembly._dirichlet_plans.clear()
+
+
+def test_cold_and_warm_plans_give_identical_bits():
+    case = constant_densities_case()
+    cfg = SchemeConfig()
+    state = initialize(case, build_uniform_mesh(6, 6))
+    _clear_plans()
+    cold = advance(state, 1 / 6, cfg, case)
+    assert len(solver._factor_plans.entries) == 1   # one constrained pattern
+    warm = advance(state, 1 / 6, cfg, case)
+    for a, b in ((cold.pressure, warm.pressure), (cold.sat_a, warm.sat_a),
+                 (cold.sat_v, warm.sat_v)):
+        assert np.array_equal(a.coeffs, b.coeffs)
+
+
+def _cyclic(n, shift, rng):
+    # two entries per row: the diagonal and column (i + shift) mod n, so
+    # shape, nnz and indptr do not depend on the shift
+    rows = np.repeat(np.arange(n), 2)
+    cols = np.column_stack([np.arange(n), (np.arange(n) + shift) % n]).ravel()
+    vals = np.column_stack([rng.uniform(4.0, 5.0, n), rng.uniform(-1.0, 1.0, n)]).ravel()
+    return sps.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def test_patterns_with_equal_indptr_never_share_a_plan():
+    rng = np.random.default_rng(11)
+    A1, A2 = _cyclic(9, 1, rng), _cyclic(9, 4, rng)
+    assert np.array_equal(A1.indptr, A2.indptr) and A1.nnz == A2.nnz
+    assert not np.array_equal(A1.indices, A2.indices)
+    _clear_plans()
+    for A in (A1, A2, A1):
+        b = rng.normal(size=9)
+        x = solve_linear(_system(A, b))
+        assert np.linalg.norm(A @ x - b) <= 1e-12 * (1.0 + np.linalg.norm(b))
+        assert np.allclose(x, np.linalg.solve(A.toarray(), b), rtol=1e-12, atol=0)
+    assert len(solver._factor_plans.entries) == 2
+    orders = [plan.order for _, plan in solver._factor_plans.entries]
+    assert not np.array_equal(orders[0], orders[1])
+
+
+def _splu_calls(monkeypatch):
+    calls = []
+    splu = solver.spla.splu
+
+    def spy(A, permc_spec=None, **kwargs):
+        calls.append((A.dtype, permc_spec))
+        return splu(A, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(solver.spla, "splu", spy)
+    return calls
+
+
+def test_dg_system_factors_in_single_precision_only(monkeypatch):
+    mesh = build_uniform_mesh(4, 4)
+    from dgflow.assembly import assemble_pressure
+    system = assemble_pressure(constant_state(mesh), mesh, SchemeConfig(),
+                               StubCase(pressure=lambda t, x, y: 1.0 + x - 2 * y), 1.0)
+    _clear_plans()
+    calls = _splu_calls(monkeypatch)
+    x = solve_linear(system)
+    solve_linear(system)
+    # the plan's ordering, then one single-precision factor per solve
+    assert calls == [(np.float32, "MMD_AT_PLUS_A"), (np.float32, "NATURAL"),
+                     (np.float32, "NATURAL")]
+    # refined to stagnation, not just to the residual bound: as accurate as
+    # a double-precision factor
+    reference = np.linalg.solve(system.matrix.toarray(), system.rhs)
+    assert np.max(np.abs(x - reference)) <= 1e-14 * np.max(np.abs(reference))
+
+
+def test_ill_conditioned_system_falls_back_to_double(monkeypatch):
+    # condition number 1e10: single-precision refinement cannot converge
+    rng = np.random.default_rng(5)
+    n = 30
+    Q1, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    Q2, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    A = sps.csr_matrix(Q1 @ np.diag(np.logspace(0, -10, n)) @ Q2.T)
+    b = A @ rng.normal(size=n)
+    _clear_plans()
+    calls = _splu_calls(monkeypatch)
+    x = solve_linear(_system(A, b))
+    assert (np.float64, "NATURAL") in calls
+    assert np.linalg.norm(A @ x - b) <= 1e-12 * (1.0 + np.linalg.norm(b))
+
+
+def test_duplicate_entries_are_summed_before_factoring():
+    # a non-canonical CSR (one entry stored twice) must not reach SuperLU
+    # with duplicates, which it would sum in the plan's own arrays
+    A = sps.csr_matrix((np.array([1.0, 1.0, 3.0]), np.array([0, 0, 1]),
+                        np.array([0, 2, 3])), shape=(2, 2))
+    assert not A.has_canonical_format
+    _clear_plans()
+    for _ in range(2):
+        assert np.allclose(solve_linear(_system(A, [4.0, 3.0])), [2.0, 1.0])
+
+
+def test_plan_reorders_for_minimum_degree_fill():
+    mesh = build_uniform_mesh(8, 8)
+    from dgflow.assembly import assemble_pressure
+    A = assemble_pressure(constant_state(mesh), mesh, SchemeConfig(),
+                          StubCase(pressure=lambda t, x, y: 1.0 + x - 2 * y), 1.0).matrix
+    plan = solver._factor_plan(A)
+    permuted = A[plan.order][:, plan.order].tocsc()
+    gathered = sps.csc_matrix((A.data[plan.gather], plan.indices, plan.indptr),
+                              shape=A.shape)
+    for got, want in ((gathered.data, permuted.data), (gathered.indices, permuted.indices),
+                      (gathered.indptr, permuted.indptr)):
+        assert np.array_equal(got, want)
+    natural = solver.spla.splu(permuted, permc_spec="NATURAL")
+    mmd = solver.spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    assert natural.L.nnz + natural.U.nnz == mmd.L.nnz + mmd.U.nnz
+
+
+def test_system_singular_in_single_precision_is_solved_in_double(monkeypatch):
+    # 1 + 1e-9 rounds to 1 in float32, so that factor is exactly singular;
+    # the order and the factor both come from double precision instead
+    A = sps.csr_matrix(np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-9, 0.0],
+                                 [0.0, 0.0, 2.0]]))
+    b = A @ np.array([1.0, -1.0, 0.5])
+    _clear_plans()
+    calls = _splu_calls(monkeypatch)
+    x = solve_linear(_system(A, b))
+    assert calls[:2] == [(np.float32, "MMD_AT_PLUS_A"), (np.float64, "MMD_AT_PLUS_A")]
+    assert calls[-1] == (np.float64, "NATURAL")
+    assert np.linalg.norm(A @ x - b) <= 1e-12 * (1.0 + np.linalg.norm(b))

@@ -14,7 +14,17 @@ from .assembly import (SchemeConfig, LinearSystem, RTField, harmonic_penalty,
                        check_coercivity_threshold)
 from .solver import (PhaseState, TimeConfig, ErrorReport, solve_linear,
                      initialize, advance, run)
-from .harness import (RunConfig, ConvergenceReport, convergence_study,
-                      emit_report, cli_main)
 
 __version__ = "0.1.0"
+
+#: names served from ``dgflow.harness`` on first use, so that importing the
+#: package does not import the module ``python -m dgflow.harness`` runs
+_HARNESS_NAMES = ("RunConfig", "ConvergenceReport", "convergence_study",
+                  "emit_report", "cli_main")
+
+
+def __getattr__(name):
+    if name in _HARNESS_NAMES:
+        from . import harness
+        return getattr(harness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -39,6 +39,7 @@ plans, keyed by exact comparison of the index arrays.
 
 from __future__ import annotations
 
+import functools
 import warnings
 import weakref
 from dataclasses import dataclass
@@ -683,16 +684,31 @@ def apply_dirichlet(matrix, rhs, dofs, values):
     such pair (see :func:`_dirichlet_plan`); a call then gathers ``data``
     and updates the right-hand side.  Returns the new ``(csr_matrix, rhs)``.
     """
+    matrix, lift = _eliminate(matrix, dofs, values)
+    return matrix, lift(rhs)
+
+
+def _eliminate(matrix, dofs, values):
+    """The matrix half of :func:`apply_dirichlet`: the constrained matrix,
+    and a function that takes a right-hand side of ``matrix`` to the one
+    of the constrained system.  The function keeps only the products moved
+    to the right-hand side, not the matrix."""
     dofs, values = _dedupe_constraints(np.asarray(dofs, dtype=np.int64),
                                        np.asarray(values, dtype=float))
     A = matrix.tocsr()
     plan = _dirichlet_plans.get((A.indptr, A.indices, dofs),
                                 lambda: _dirichlet_plan(A, dofs))
-    rhs = np.array(rhs, dtype=float, copy=True)
-    np.subtract.at(rhs, plan.move_rows, A.data[plan.move] * values[plan.move_slot])
-    rhs[dofs] = values
+    lift = functools.partial(_lift, plan.move_rows,
+                             A.data[plan.move] * values[plan.move_slot], dofs, values)
     data = np.append(A.data, 1.0)[plan.source]
-    return sps.csr_matrix((data, plan.indices, plan.indptr), shape=A.shape), rhs
+    return sps.csr_matrix((data, plan.indices, plan.indptr), shape=A.shape), lift
+
+
+def _lift(rows, moved, dofs, values, rhs):
+    rhs = np.array(rhs, dtype=float, copy=True)
+    np.subtract.at(rhs, rows, moved)
+    rhs[dofs] = values
+    return rhs
 
 
 def _dirichlet_plan(A: sps.csr_matrix, dofs: np.ndarray) -> SimpleNamespace:
@@ -755,14 +771,8 @@ def assemble_aqueous(state, p_new, velocity, mesh, cfg, case, tau, t_next,
     """Linear system of the implicit aqueous-saturation solve."""
     if coeffs is None:
         coeffs = LaggedCoefficients(mesh, case.fluids, state.sat_a, state.sat_v)
-    matrix = aqueous_form(mesh, cfg, coeffs)
-    _add_mass(matrix.data, mesh, case.fluids.porosity / tau)
-    rhs = _saturation_rhs(mesh, coeffs, case, t_next, tau, velocity,
-                          "a", state.sat_a, cfg, p_new)
-    dofs, vals = dirichlet_constraints(mesh, case, "sat_a", t_next)
-    if constrain:
-        matrix, rhs = apply_dirichlet(matrix, rhs, dofs, vals)
-    return LinearSystem(matrix, rhs, dofs, vals)
+    return _assemble_saturation("a", state.sat_a, p_new, velocity, mesh, cfg,
+                                case, tau, t_next, coeffs, constrain)
 
 
 def assemble_vapor(state, p_new, sa_new, velocity, mesh, cfg, case, tau, t_next,
@@ -778,14 +788,37 @@ def assemble_vapor(state, p_new, sa_new, velocity, mesh, cfg, case, tau, t_next,
         coeffs = LaggedCoefficients(mesh, case.fluids, sa_new, state.sat_v)
     elif coeffs is None:
         coeffs = LaggedCoefficients(mesh, case.fluids, state.sat_a, state.sat_v)
-    matrix = vapor_form(mesh, cfg, coeffs)
-    _add_mass(matrix.data, mesh, case.fluids.porosity / tau)
-    rhs = _saturation_rhs(mesh, coeffs, case, t_next, tau, velocity,
-                          "v", state.sat_v, cfg, p_new)
-    dofs, vals = dirichlet_constraints(mesh, case, "sat_v", t_next)
+    return _assemble_saturation("v", state.sat_v, p_new, velocity, mesh, cfg,
+                                case, tau, t_next, coeffs, constrain)
+
+
+def _assemble_saturation(phase, sat_prev, p_new, velocity, mesh, cfg, case, tau,
+                         t_next, coeffs, constrain) -> LinearSystem:
+    matrix = _saturation_form(phase, mesh, cfg, case, tau, coeffs)
+    rhs = _saturation_rhs(mesh, coeffs, case, t_next, tau, velocity, phase,
+                          sat_prev, cfg, p_new)
+    dofs, vals = dirichlet_constraints(mesh, case, "sat_" + phase, t_next)
     if constrain:
         matrix, rhs = apply_dirichlet(matrix, rhs, dofs, vals)
     return LinearSystem(matrix, rhs, dofs, vals)
+
+
+def _saturation_form(phase, mesh, cfg, case, tau, coeffs) -> sps.csr_matrix:
+    """Bilinear form plus scaled mass of one saturation equation; ``phase``
+    is 'a' or 'v'."""
+    form = aqueous_form if phase == "a" else vapor_form
+    matrix = form(mesh, cfg, coeffs)
+    _add_mass(matrix.data, mesh, case.fluids.porosity / tau)
+    return matrix
+
+
+def _saturation_matrix(phase, mesh, cfg, case, tau, t_next, coeffs):
+    """The constrained matrix of one saturation system, which depends only
+    on the lagged coefficients, tau and the Dirichlet DOFs, and the function
+    that takes its :func:`_saturation_rhs` to the constrained right-hand
+    side (see :func:`_eliminate`).  ``assemble_*`` gives the same bits."""
+    dofs, vals = dirichlet_constraints(mesh, case, "sat_" + phase, t_next)
+    return _eliminate(_saturation_form(phase, mesh, cfg, case, tau, coeffs), dofs, vals)
 
 
 def _add_mass(data, mesh, scale):

@@ -129,7 +129,7 @@ def convergence_study(config: RunConfig) -> ConvergenceReport:
         time = TimeConfig.from_step(tau, config.t_final)
         try:
             _, err = solver.run(case, mesh, time, scheme)
-        except (solver.SingularSystemError, solver.NonConvergenceError) as exc:
+        except solver.STEP_ERRORS as exc:
             raise type(exc)(f"ladder level {level} (h={h}): {exc}") from exc
         results.append(LevelResult(h=mesh.dx, dofs=4 * mesh.n_elements,
                                    err_p=err.l2_pressure, err_sa=err.l2_sat_a,
@@ -289,7 +289,7 @@ def cli_main(argv=None) -> int:
         return 2
     try:
         report = convergence_study(config)
-    except (solver.SingularSystemError, solver.NonConvergenceError) as exc:
+    except solver.STEP_ERRORS as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
     out = config.out or f"{config.case}_{config.tau_rule}.{'md' if config.fmt == 'markdown' else 'csv'}"

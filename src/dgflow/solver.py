@@ -5,10 +5,54 @@ projection, the aqueous saturation, the vapor saturation.  All three
 solves are linear because the nonlinear coefficients are lagged; no
 sub-iteration is performed.  Stored saturation fields are never clamped,
 clamping happens only inside coefficient evaluation.
+
+What runs where.  Because the coefficients are lagged, the two saturation
+matrices (with the default ``vapor_coeff_state="lagged"``) depend only on
+the previous state, tau and the Dirichlet DOFs; only their right-hand
+sides need the new pressure, and the vapor one the new aqueous
+saturation.  So :func:`advance` builds and constrains both saturation
+matrices before it assembles the pressure system, and hands them to a
+helper process, which factors them while this process assembles, factors
+and solves the pressure system.  The saturation right-hand sides then go
+to the helper, and the refined solutions come back.  With
+``vapor_coeff_state="fresh_sa"`` the vapor matrix needs the new aqueous
+saturation, so it is handed over after the aqueous solve.
+
+* The helper is started at the first system of ``HELPER_MIN_UNKNOWNS``
+  unknowns or more, never at import: a second interpreter (about 1 s to
+  import, waited for once) that lives as long as this process.  It exits
+  when its pipe reaches EOF: when this process closes it at exit, or dies,
+  even by SIGKILL.  If it dies, the next step starts another; a step that
+  loses it builds its saturation matrices again and solves them here.
+* Smaller systems, machines with fewer than two usable CPUs and non-POSIX
+  platforms solve the saturations in this process, in the serial order.
+  ``HELPER_MIN_UNKNOWNS = 1600`` (20x20) is a point between the
+  benchmark's sizes, and only its two sides are backed by benchmark
+  workloads: 16x16 stays in-process, because in benchmark pairs the
+  helper made that workload's 95th-percentile step slower, and 32x32 and
+  64x64 use the helper.  In the gap, ``tools/helper_sweep.py`` (gravity
+  case, tau = h^2, single-threaded BLAS, 2 vCPUs) put the helper's median
+  step at 0.7 to 0.9 of the in-process one from 20x20 to 28x28 in most
+  sweeps; it favoured the helper at 16x16 too, unlike the benchmark
+  pairs.  The host is noisy and the crossover is not pinned down.
+* Both processes factor and refine with the same code
+  (:class:`_Factorization`): the single-precision factor, refinement to
+  stagnation, the double-precision fallback, the non-finite check and the
+  ``SOLVER_TOL`` residual check.  So the new state has the same bits
+  wherever a system was solved.
+* The helper, like the plan caches, is module state behind the stateless
+  public calls; the time loop is not safe to run from several threads of
+  one process at once.
 """
 
 from __future__ import annotations
 
+import atexit
+import multiprocessing
+import multiprocessing.connection
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -17,7 +61,8 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 from . import assembly
-from .assembly import LaggedCoefficients, LinearSystem, SchemeConfig
+from .assembly import (LaggedCoefficients, LinearSystem, NonPositiveCoefficientError,
+                       SchemeConfig)
 from .dg_core import DGField, coercivity_norm, l2_error, l2_project
 from .mesh import Mesh
 
@@ -29,6 +74,10 @@ class SingularSystemError(RuntimeError):
 class NonConvergenceError(RuntimeError):
     """Iterative backend missed the requested tolerance."""
 
+
+#: errors that ``advance`` prefixes with the step and ``convergence_study``
+#: with the ladder level
+STEP_ERRORS = (SingularSystemError, NonConvergenceError, NonPositiveCoefficientError)
 
 #: relative residual tolerance for every implicit solve; two orders below
 #: the smallest error magnitudes resolved by the verification studies
@@ -97,21 +146,16 @@ def solve_linear(system: LinearSystem, tolerance: float = SOLVER_TOL,
     bound (condition numbers above about 1e7) or the single-precision
     factorization fails, the same plan is factored in double precision.
     A solve that builds the plan returns the same bits as one that reuses
-    it.  ``method="iterative"`` runs ILU-preconditioned GMRES to the same
+    it, and the saturation solves that :func:`advance` hands to its helper
+    process run this same code (:class:`_Factorization`).
+    ``method="iterative"`` runs ILU-preconditioned GMRES to the same
     tolerance.
     """
-    b = system.rhs
-    bound = tolerance * (1.0 + np.linalg.norm(b))
     if method == "direct":
-        x = _direct_solve(system.matrix, b, bound)
-        if not np.all(np.isfinite(x)):
-            raise SingularSystemError("direct solve returned non-finite values")
-        res = np.linalg.norm(system.matrix @ x - b)
-        if res > bound:
-            raise SingularSystemError(
-                f"direct solve residual {res:.3e} exceeds {bound:.3e}")
-        return x
+        return _Factorization(system.matrix).solve(system.rhs, tolerance)
     if method == "iterative":
+        b = system.rhs
+        bound = tolerance * (1.0 + np.linalg.norm(b))
         ilu = spla.spilu(system.matrix.tocsc(), drop_tol=1e-8, fill_factor=20)
         prec = spla.LinearOperator(system.matrix.shape, ilu.solve)
         x, info = spla.gmres(system.matrix, b, rtol=tolerance, atol=bound,
@@ -128,22 +172,50 @@ def solve_linear(system: LinearSystem, tolerance: float = SOLVER_TOL,
 _factor_plans = assembly.PlanCache(assembly.PLAN_CACHE_SIZE)
 
 
-def _direct_solve(matrix, b: np.ndarray, bound: float) -> np.ndarray:
-    A = matrix.tocsr()
-    if not A.has_canonical_format:
-        A = A.copy()
-        A.sum_duplicates()
-    try:
-        plan = _factor_plans.get((A.indptr, A.indices), lambda: _factor_plan(A))
+class _Factorization:
+    """A matrix with its plan and single-precision factor, made when the
+    matrix is given; :meth:`solve` refines against it, falls back to double
+    precision and checks the result.  A failed factorization is kept and
+    reported by :meth:`solve`, so a system handed over early fails where
+    it is solved."""
+
+    def __init__(self, matrix):
+        A = matrix.tocsr()
+        if not A.has_canonical_format:
+            A = A.copy()
+            A.sum_duplicates()
+        self.A, self.plan, self.solve32, self.error = A, None, None, None
         try:
-            x, res = _refined_solve(A, b, plan, np.float32)
-            if res <= bound:
-                return x
-        except RuntimeError:
-            pass
-        return _refined_solve(A, b, plan, np.float64)[0]
-    except RuntimeError as exc:
-        raise SingularSystemError(str(exc)) from exc
+            self.plan = _factor_plans.get((A.indptr, A.indices), lambda: _factor_plan(A))
+            self.solve32 = _factor(A, self.plan, np.float32)
+        except RuntimeError as exc:
+            self.error = exc
+
+    def solve(self, b: np.ndarray, tolerance: float = SOLVER_TOL) -> np.ndarray:
+        bound = tolerance * (1.0 + np.linalg.norm(b))
+        try:
+            x = self._refined(b, bound)
+        except RuntimeError as exc:
+            raise SingularSystemError(str(exc)) from exc
+        if not np.all(np.isfinite(x)):
+            raise SingularSystemError("direct solve returned non-finite values")
+        res = np.linalg.norm(self.A @ x - b)
+        if res > bound:
+            raise SingularSystemError(
+                f"direct solve residual {res:.3e} exceeds {bound:.3e}")
+        return x
+
+    def _refined(self, b, bound):
+        if self.plan is None:
+            raise self.error
+        if self.solve32 is not None:
+            try:
+                x, res = _refine(self.A, b, self.solve32)
+                if res <= bound:
+                    return x
+            except RuntimeError:
+                pass
+        return _refine(self.A, b, _factor(self.A, self.plan, np.float64))[0]
 
 
 def _factor_plan(A: sps.csr_matrix) -> SimpleNamespace:
@@ -172,9 +244,9 @@ def _factor_plan(A: sps.csr_matrix) -> SimpleNamespace:
                            indices=rows[gather])
 
 
-def _refined_solve(A, b, plan, dtype):
-    """Factor ``A[q][:, q]`` in ``dtype`` and refine x until the residual
-    ``b - A x`` stops halving; returns x and that residual's norm."""
+def _factor(A, plan, dtype):
+    """Factor ``A[q][:, q]`` in ``dtype``; returns ``r -> A^-1 r`` through
+    that factor."""
     data = A.data.astype(dtype, copy=False)[plan.gather]
     lu = spla.splu(sps.csc_matrix((data, plan.indices, plan.indptr), shape=A.shape),
                    permc_spec="NATURAL")
@@ -184,6 +256,12 @@ def _refined_solve(A, b, plan, dtype):
         x[plan.order] = lu.solve(r[plan.order].astype(dtype, copy=False))
         return x
 
+    return solve
+
+
+def _refine(A, b, solve):
+    """Refine x against ``A`` until the residual ``b - A x`` stops halving;
+    returns x and that residual's norm."""
     x = solve(b)
     r = b - A @ x
     res = np.linalg.norm(r)
@@ -194,6 +272,208 @@ def _refined_solve(A, b, plan, dtype):
         if not res_new < 0.5 * res:
             return (x_new, res_new) if res_new < res else (x, res)
         x, r, res = x_new, r_new, res_new
+
+
+# -- where the saturation systems are factored ------------------------------
+
+#: saturation systems with fewer unknowns are factored in the calling
+#: process; larger ones in the helper process (see the module docstring)
+HELPER_MIN_UNKNOWNS = 1600
+
+#: how long a new helper may take to import the solver (about 1 s)
+HELPER_START_S = 60.0
+
+
+class _HelperLost(Exception):
+    """The helper process died or its pipe broke; it has been shut down."""
+
+
+class _Helper:
+    """A helper interpreter that factors saturation systems as soon as it
+    gets them and solves them on request (:func:`_serve`).
+
+    It is a new interpreter, not a fork of this one: a fork is unsafe in a
+    process with threads, and it leaves the forking process with about 10%
+    more page faults in allocation-heavy calls for the rest of its life,
+    even after the child has exited.  The caller waits for its imports,
+    because a step run meanwhile would compete with them.
+
+    A factor request sends every matrix of one batch before the helper
+    factors the first; its own plan cache recognises a pattern it has
+    seen.  Any failure while a request is in flight shuts the helper down,
+    so no later request reads a stale reply.
+    """
+
+    def __init__(self):
+        self.conn, child = multiprocessing.Pipe()
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        # a terminal's ^C interrupts this process only; the helper ends at EOF
+        code = (f"import signal; signal.signal(signal.SIGINT, signal.SIG_IGN); "
+                f"import sys; sys.path.insert(0, {package_root!r}); "
+                f"from dgflow.solver import _serve; _serve({child.fileno()})")
+        try:
+            self.process = subprocess.Popen(
+                [sys.executable, "-c", code], pass_fds=(child.fileno(),),
+                stdin=subprocess.DEVNULL)
+        except BaseException:
+            self.conn.close()
+            raise
+        finally:
+            child.close()
+        self.owner = os.getpid()
+        atexit.register(self.close)
+        if not self._call(self.conn.poll, HELPER_START_S) or self._call(self.conn.recv) != "ready":
+            self.close()
+            raise _HelperLost("the helper did not start")
+
+    def alive(self) -> bool:
+        # a process forked from the owner inherits this object, not the helper
+        return (self.owner == os.getpid() and not self.conn.closed
+                and self.process.poll() is None)
+
+    def factor(self, matrices: dict) -> None:
+        # the arrays follow the header as raw bytes: a pickled batch is a
+        # transient copy of both matrices, which at 64x64 raised this
+        # process's peak memory by about 3 MB (2%)
+        arrays = [np.ascontiguousarray(a) for A in matrices.values()
+                  for a in (A.indptr, A.indices, A.data)]
+        self._call(self.conn.send, ("factor", list(matrices), [a.dtype.str for a in arrays]))
+        for a in arrays:
+            self._call(self.conn.send_bytes, a)
+
+    def solve(self, key, b: np.ndarray) -> np.ndarray:
+        self._call(self.conn.send, ("solve", key, b))
+        reply = self._call(self.conn.recv)
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+    def _call(self, fn, *args):
+        try:
+            return fn(*args)
+        except (OSError, EOFError) as exc:
+            self.close()
+            raise _HelperLost(str(exc)) from exc
+        except BaseException:
+            self.close()
+            raise
+
+    def close(self) -> None:
+        """Close the pipe, which ends the helper, and reap it."""
+        atexit.unregister(self.close)
+        self.conn.close()
+        if self.owner == os.getpid():
+            try:
+                self.process.wait(timeout=1)
+            except subprocess.TimeoutExpired:   # busy with a request
+                self.process.kill()
+                self.process.wait()
+
+
+def _serve(fd: int) -> None:
+    """The helper's loop: factor batches and solve requests until EOF,
+    which comes when the parent closes its end or exits, even by SIGKILL."""
+    conn = multiprocessing.connection.Connection(fd)
+    conn.send("ready")
+    factors = {}
+    while True:
+        try:
+            request = conn.recv()
+            if request[0] == "factor":
+                factors.clear()
+                arrays = [np.frombuffer(conn.recv_bytes(), dtype=d) for d in request[2]]
+        except EOFError:
+            return
+        if request[0] == "factor":
+            for i, key in enumerate(request[1]):
+                indptr, indices, data = arrays[3 * i:3 * i + 3]
+                n = len(indptr) - 1
+                factors[key] = _Factorization(
+                    sps.csr_matrix((data, indices, indptr), shape=(n, n)))
+            continue
+        _, key, b = request
+        try:
+            reply = factors.pop(key).solve(b)
+        except Exception as exc:   # relayed to the caller, which raises it
+            reply = exc
+        conn.send(reply)
+
+
+_helper: _Helper | None = None
+_helper_failed = False
+
+
+def _helper_for(n_unknowns: int) -> _Helper | None:
+    """The helper for a large system on a machine that can run it beside
+    this process, started or restarted here; otherwise None."""
+    global _helper, _helper_failed
+    if (n_unknowns < HELPER_MIN_UNKNOWNS or _helper_failed
+            or not _can_run_helper()):
+        return None
+    if _helper is not None and not _helper.alive():
+        _helper.close()
+        _helper = None
+    if _helper is None:
+        try:
+            _helper = _Helper()
+        except Exception:
+            _helper_failed = True   # solve here, and do not try again at every step
+    return _helper
+
+
+def _can_run_helper() -> bool:
+    return (os.name == "posix" and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
+class _SaturationSolves:
+    """The saturation solves of one step.  With the helper, the matrices
+    are built and handed over before the pressure solve, and this process
+    keeps only what constrains each right-hand side; if the helper is lost,
+    a matrix is built again and solved here.  Without it, nothing would run
+    beside the pressure solve, so each matrix is built when it is solved,
+    in the serial order: building both first made 16x16 steps 4% slower and
+    their peak memory 0.5% higher."""
+
+    def __init__(self, state, cfg, case, tau, t_next):
+        self.state, self.cfg, self.case, self.tau, self.t_next = (
+            state, cfg, case, tau, t_next)
+        self.helper = _helper_for(4 * state.mesh.n_elements)
+        self.coeffs, self.lifts = {}, {}
+
+    def _matrix(self, phase):
+        return assembly._saturation_matrix(phase, self.state.mesh, self.cfg, self.case,
+                                           self.tau, self.t_next, self.coeffs[phase])
+
+    def factor(self, phases: str, coeffs: LaggedCoefficients) -> None:
+        for phase in phases:
+            self.coeffs[phase] = coeffs
+        if self.helper is None:
+            return
+        matrices = {}
+        for phase in phases:
+            matrices[phase], self.lifts[phase] = self._matrix(phase)
+        try:
+            self.helper.factor(matrices)
+        except _HelperLost:
+            self.helper = None
+
+    def solve(self, phase: str, p_new: DGField, velocity) -> DGField:
+        state = self.state
+        sat_prev = state.sat_a if phase == "a" else state.sat_v
+        rhs = assembly._saturation_rhs(state.mesh, self.coeffs[phase], self.case,
+                                       self.t_next, self.tau, velocity, phase,
+                                       sat_prev, self.cfg, p_new)
+        if self.helper is None:
+            matrix, lift = self._matrix(phase)
+            x = _Factorization(matrix).solve(lift(rhs))
+        else:
+            b = self.lifts.pop(phase)(rhs)
+            try:
+                x = self.helper.solve(phase, b)
+            except _HelperLost:
+                x = _Factorization(self._matrix(phase)[0]).solve(b)
+        return DGField.from_vector(state.mesh, x, "sat_" + phase)
 
 
 def initialize(case, mesh: Mesh) -> PhaseState:
@@ -207,21 +487,33 @@ def initialize(case, mesh: Mesh) -> PhaseState:
 
 
 def advance(state: PhaseState, tau: float, cfg: SchemeConfig, case) -> PhaseState:
-    """One sequential-implicit step: pressure, velocity, aqueous, vapor."""
+    """One sequential-implicit step: pressure, velocity, aqueous, vapor.
+
+    The saturation matrices are built first, from the lagged coefficients,
+    and handed over to be factored; the vapor one after the aqueous solve
+    when ``cfg.vapor_coeff_state == "fresh_sa"``.  Then come the pressure
+    solve, the RT0 projection and the two saturation right-hand sides and
+    solves.  Systems of ``HELPER_MIN_UNKNOWNS`` unknowns or more are
+    factored in the helper process while this one solves the pressure;
+    the new state has the same bits either way.  Errors raised by the
+    solves or the coefficient checks name the step.
+    """
     mesh = state.mesh
     t_next = state.time + tau
-    coeffs = LaggedCoefficients(mesh, case.fluids, state.sat_a, state.sat_v)
     try:
-        sys_p = assembly.assemble_pressure(state, mesh, cfg, case, t_next, coeffs)
-        p_new = DGField.from_vector(mesh, solve_linear(sys_p), "pressure")
+        coeffs = LaggedCoefficients(mesh, case.fluids, state.sat_a, state.sat_v)
+        saturations = _SaturationSolves(state, cfg, case, tau, t_next)
+        lagged = cfg.vapor_coeff_state == "lagged"
+        saturations.factor("av" if lagged else "a", coeffs)
+        p_new = DGField.from_vector(mesh, solve_linear(assembly.assemble_pressure(
+            state, mesh, cfg, case, t_next, coeffs)), "pressure")
         velocity = assembly.rt0_project(p_new, state, mesh, cfg, coeffs)
-        sys_a = assembly.assemble_aqueous(state, p_new, velocity, mesh, cfg,
-                                          case, tau, t_next, coeffs)
-        sa_new = DGField.from_vector(mesh, solve_linear(sys_a), "sat_a")
-        sys_v = assembly.assemble_vapor(state, p_new, sa_new, velocity, mesh,
-                                        cfg, case, tau, t_next, coeffs)
-        sv_new = DGField.from_vector(mesh, solve_linear(sys_v), "sat_v")
-    except (SingularSystemError, NonConvergenceError) as exc:
+        sa_new = saturations.solve("a", p_new, velocity)
+        if not lagged:
+            saturations.factor("v", LaggedCoefficients(mesh, case.fluids, sa_new,
+                                                       state.sat_v))
+        sv_new = saturations.solve("v", p_new, velocity)
+    except STEP_ERRORS as exc:
         raise type(exc)(f"step {state.step} -> {state.step + 1}: {exc}") from exc
     return PhaseState(p_new, sa_new, sv_new, state.step + 1, t_next)
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from dgflow import physics
 from dgflow.dg_core import DGField
 from dgflow.mesh import SIDE_NAMES
 from dgflow.physics import FluidProperties
@@ -94,3 +95,14 @@ def face_quadrature_jumps(field, n=4):
         vals = jump(field, face, rule.points)
         total += float((vals**2 * rule.weights).sum())  # h_e / h_e cancels
     return total
+
+
+def zero_mobilities(monkeypatch):
+    """Make the mobility closure vanish, so that every face diffusivity the
+    assembly checks is zero."""
+    real = physics.mobilities
+
+    def zero(s, fluids):
+        return physics.Mobilities(*(np.zeros_like(real(s, fluids).lam_t),) * 5)
+
+    monkeypatch.setattr(physics, "mobilities", zero)

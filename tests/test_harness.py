@@ -9,9 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from dgflow import harness
+from dgflow.assembly import NonPositiveCoefficientError
 from dgflow.harness import (ConfigError, ConvergenceReport, LevelResult,
                             RunConfig, cli_main, convergence_study,
                             emit_report, read_config_file)
+
+from helpers import zero_mobilities
 
 
 def small_config(**over):
@@ -188,11 +192,11 @@ def test_cli_flags_override_config_file(tmp_path):
     assert text.startswith("h,dofs")
 
 
-def _python_m(module, *args):
+def _python_m(module, *args, flags=()):
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", module, *args], env=env,
+    return subprocess.run([sys.executable, *flags, "-m", module, *args], env=env,
                           capture_output=True, text=True, timeout=120)
 
 
@@ -206,6 +210,31 @@ def test_python_m_dgflow_harness_runs_the_cli():
     done = _python_m("dgflow.harness", "--help")
     assert done.returncode == 0
     assert done.stdout.startswith("usage: dgflow")
+
+
+def test_coefficient_error_names_level_and_step(monkeypatch, tmp_path):
+    zero_mobilities(monkeypatch)
+    with pytest.raises(NonPositiveCoefficientError,
+                       match=r"^ladder level 0 \(h=0.5\): step 0 -> 1: non-positive"):
+        convergence_study(small_config())
+    assert cli_main(["--case", "constant_densities", "--levels", "2", "--h0", "0.5",
+                     "--out", str(tmp_path / "t.csv")]) == 1
+
+
+def test_python_m_dgflow_harness_runs_the_module_once():
+    # the package imports the harness only on first use of one of its names,
+    # so runpy finds no earlier copy of the module (which it warns about)
+    done = _python_m("dgflow.harness", "--help", flags=("-W", "error::RuntimeWarning"))
+    assert done.returncode == 0, done.stderr
+
+
+def test_package_serves_harness_names_lazily():
+    import dgflow
+    from dgflow import convergence_study as study
+    assert study is harness.convergence_study
+    assert dgflow.RunConfig is harness.RunConfig
+    with pytest.raises(AttributeError):
+        dgflow.no_such_name
 
 
 def test_python_m_dgflow_harness_unknown_case_exits_2():

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sps
 
 from dgflow import assembly, dg_core, solver
-from dgflow.assembly import LinearSystem, SchemeConfig
+from dgflow.assembly import LinearSystem, NonPositiveCoefficientError, SchemeConfig
 from dgflow.dg_core import DGField, l2_project, l2_norm, tables
 from dgflow.manufactured import ManufacturedCase, constant_densities_case
 from dgflow.mesh import build_uniform_mesh
@@ -11,7 +11,7 @@ from dgflow.physics import FluidProperties
 from dgflow.solver import (NonConvergenceError, PhaseState, SingularSystemError,
                            TimeConfig, advance, initialize, run, solve_linear)
 
-from helpers import StubCase, constant_state, nodal_interpolant
+from helpers import StubCase, constant_state, nodal_interpolant, zero_mobilities
 
 
 def _system(matrix, rhs):
@@ -212,6 +212,14 @@ def test_solver_error_carries_step_index():
     with pytest.raises((SingularSystemError, NonConvergenceError)) as err:
         advance(state, 0.25, SchemeConfig(), bad)
     assert "step 0 -> 1" in str(err.value)
+
+
+def test_coefficient_error_carries_step_index(monkeypatch):
+    case = constant_densities_case()
+    state = initialize(case, build_uniform_mesh(2, 2))
+    zero_mobilities(monkeypatch)
+    with pytest.raises(NonPositiveCoefficientError, match=r"^step 0 -> 1: non-positive"):
+        advance(state, 0.25, SchemeConfig(), case)
 
 
 # -- per-pattern solve plans -------------------------------------------------------

@@ -79,15 +79,6 @@ class SchemeConfig:
     alpha_p: float | np.ndarray = 1.0
     alpha_a: float | np.ndarray = 1.0
     alpha_v: float | np.ndarray = 1.0
-    vapor_coeff_state: str = "lagged"   # "lagged" | "fresh_sa"
-    # Velocity representation inside the saturation volume terms.  The
-    # face-flux projection keeps only one normal flux per face, so its
-    # in-element reconstruction inherits the O(h) one-sided boundary flux
-    # error over the whole boundary strip, which costs half an order in the
-    # fine-step studies; the broken pressure gradient (the projection's
-    # argument) avoids that and is the default.  Face terms always use the
-    # projected single-valued fluxes.
-    advection_volume: str = "broken_gradient"   # | "rt_field"
 
     def __post_init__(self):
         for th in (self.theta_p, self.theta_a, self.theta_v):
@@ -96,10 +87,6 @@ class SchemeConfig:
         for al in (self.alpha_p, self.alpha_a, self.alpha_v):
             if np.any(np.asarray(al) <= 0):
                 raise ValueError("penalty constants must be positive")
-        if self.vapor_coeff_state not in ("lagged", "fresh_sa"):
-            raise ValueError(f"unknown vapor_coeff_state {self.vapor_coeff_state!r}")
-        if self.advection_volume not in ("broken_gradient", "rt_field"):
-            raise ValueError(f"unknown advection_volume {self.advection_volume!r}")
 
 
 @dataclass
@@ -136,6 +123,11 @@ def harmonic_penalty(a1, a2):
     if np.any(denom <= 0.0):
         raise NonPositiveCoefficientError("harmonic average needs a positive sum")
     return 2.0 * a1 * a2 / denom
+
+
+def _average_weights(A1, A2):
+    den = A1 + A2
+    return A2 / den, A1 / den
 
 
 # -- face group tables -------------------------------------------------------
@@ -285,10 +277,12 @@ PLAN_CACHE_SIZE = 12
 class LaggedCoefficients:
     """Closure coefficients of one lagged state.
 
-    Volume values live at the 3x3 quadrature points of every element.
-    Each interior-face side carries two sets of traces: midpoint values,
-    which fix the averaging weights, penalties and upwind selectors, and
-    quadrature-point values for the face integrands themselves.
+    ``vol`` holds the closures at the 3x3 quadrature points of every
+    element.  Each interior-face side (``face[key]``, a pair per group)
+    holds them at two point sets: ``mid``, the midpoint, which fixes the
+    averaging weights, penalties and upwind selectors, and ``q``, the face
+    quadrature points, for the face integrands themselves.  All three come
+    from :func:`_closures`.
     """
 
     def __init__(self, mesh: Mesh, fluids: physics.FluidProperties,
@@ -300,72 +294,46 @@ class LaggedCoefficients:
         self.sat_v_field = sat_v
         self.kappa = np.broadcast_to(
             np.asarray(fluids.permeability, dtype=float), (mesh.n_elements,))
-
-        s = physics.clamp(sat_a.coeffs @ t.phi, sat_v.coeffs @ t.phi)
-        self.vol = SimpleNamespace(mob=physics.mobilities(s, fluids))
-        _, self.vol.dpcv = physics.capillary_pressure_v(s.s_v)
-        _, self.vol.dpca, self.vol.dpca_plus = physics.capillary_pressure_a(s.s_a)
-        self.vol.kappa = self.kappa[:, None]
-
+        self.vol = _closures(sat_a.coeffs @ t.phi, sat_v.coeffs @ t.phi, fluids,
+                             self.kappa[:, None])
         self.grad_sa = (sat_a.coeffs @ t.gx, sat_a.coeffs @ t.gy)
         self.grad_sv = (sat_v.coeffs @ t.gx, sat_v.coeffs @ t.gy)
-
-        self.face = {}
-        for g in _groups(mesh).interior:
-            self.face[g.key] = (
-                self._side(t, g.k1, g.e1),
-                self._side(t, g.k2, g.e2),
-            )
+        self.face = {g.key: (self._side(t, g.k1, g.e1), self._side(t, g.k2, g.e2))
+                     for g in _groups(mesh).interior}
 
     def _side(self, t, elems, edge):
-        # midpoint traces fix the averaging weights and penalties ...
-        sa = self.sat_a_field.coeffs[elems] @ t.trace_phi_mid[edge]
-        sv = self.sat_v_field.coeffs[elems] @ t.trace_phi_mid[edge]
-        s = physics.clamp(sa, sv)
-        mob = physics.mobilities(s, self.fluids)
-        _, dpcv = physics.capillary_pressure_v(s.s_v)
-        _, dpca, dpca_plus = physics.capillary_pressure_a(s.s_a)
-        side = SimpleNamespace(mob=mob, dpcv=dpcv, dpca=dpca,
-                               dpca_plus=dpca_plus, kappa=self.kappa[elems])
-        # ... while integrands carry the full coefficient trace
-        sa_q = self.sat_a_field.coeffs[elems] @ t.trace_phi[edge]
-        sv_q = self.sat_v_field.coeffs[elems] @ t.trace_phi[edge]
-        s_q = physics.clamp(sa_q, sv_q)
-        side.q_mob = physics.mobilities(s_q, self.fluids)
-        _, side.q_dpcv = physics.capillary_pressure_v(s_q.s_v)
-        _, side.q_dpca, side.q_dpca_plus = physics.capillary_pressure_a(s_q.s_a)
-        return side
+        sa, sv = self.sat_a_field.coeffs[elems], self.sat_v_field.coeffs[elems]
+        kappa = self.kappa[elems]
+        return SimpleNamespace(
+            mid=_closures(sa @ t.trace_phi_mid[edge], sv @ t.trace_phi_mid[edge],
+                          self.fluids, kappa),
+            q=_closures(sa @ t.trace_phi[edge], sv @ t.trace_phi[edge],
+                        self.fluids, kappa[:, None]))
 
 
-def _face_diffusivity(side, equation):
+def _closures(sa, sv, fluids, kappa) -> SimpleNamespace:
+    """The clamped closures at one point set, with the permeability
+    ``kappa`` in the shape that broadcasts against them.
+
+    The closures are looked up on :mod:`physics` at each call, so that a
+    patched closure is seen everywhere.
+    """
+    s = physics.clamp(sa, sv)
+    mob = physics.mobilities(s, fluids)
+    _, dpcv = physics.capillary_pressure_v(s.s_v)
+    _, dpca, dpca_plus = physics.capillary_pressure_a(s.s_a)
+    return SimpleNamespace(kappa=kappa, mob=mob, dpcv=dpcv, dpca=dpca,
+                           dpca_plus=dpca_plus)
+
+
+def _diffusivity(c: SimpleNamespace, equation: str):
+    """The diffusion coefficient of one equation from :func:`_closures`."""
     if equation == "pressure":
-        return side.kappa * side.mob.lam_t
+        return c.kappa * c.mob.lam_t
     if equation == "aqueous":
-        return side.kappa * side.mob.lam_a * side.dpca_plus
+        return c.kappa * c.mob.lam_a * c.dpca_plus
     if equation == "vapor":
-        return side.kappa * side.mob.lam_v * side.dpcv
-    raise ValueError(equation)
-
-
-def _face_diffusivity_q(side, equation):
-    """Same coefficient as a function along the face (quadrature points)."""
-    if equation == "pressure":
-        return side.kappa[:, None] * side.q_mob.lam_t
-    if equation == "aqueous":
-        return side.kappa[:, None] * side.q_mob.lam_a * side.q_dpca_plus
-    if equation == "vapor":
-        return side.kappa[:, None] * side.q_mob.lam_v * side.q_dpcv
-    raise ValueError(equation)
-
-
-def _vol_diffusivity(coeffs, equation):
-    v = coeffs.vol
-    if equation == "pressure":
-        return v.kappa * v.mob.lam_t
-    if equation == "aqueous":
-        return v.kappa * v.mob.lam_a * v.dpca_plus
-    if equation == "vapor":
-        return v.kappa * v.mob.lam_v * v.dpcv
+        return c.kappa * c.mob.lam_v * c.dpcv
     raise ValueError(equation)
 
 
@@ -380,8 +348,7 @@ def _diffusion_parts(mesh, coeffs, equation, alpha, theta):
     """Block entries of the volume + interior-face diffusion form, in the
     order of the mesh's scatter map (see :func:`_block_pattern`)."""
     t = tables(mesh)
-    c = _vol_diffusivity(coeffs, equation)
-    cw = c * t.wdet
+    cw = _diffusivity(coeffs.vol, equation) * t.wdet
     vol = (np.einsum("eq,jq,kq->ejk", cw, t.gx, t.gx)
            + np.einsum("eq,jq,kq->ejk", cw, t.gy, t.gy))
     data = [vol.ravel()]
@@ -391,19 +358,18 @@ def _diffusion_parts(mesh, coeffs, equation, alpha, theta):
         if n == 0:
             continue
         s1, s2 = coeffs.face[g.key]
-        A1 = _face_diffusivity(s1, equation)
-        A2 = _face_diffusivity(s2, equation)
+        A1 = _diffusivity(s1.mid, equation)
+        A2 = _diffusivity(s2.mid, equation)
         _check_face_positivity(A1, A2, equation)
-        den = A1 + A2
-        o1, o2 = A2 / den, A1 / den
-        eta = 2.0 * A1 * A2 / den
+        o1, o2 = _average_weights(A1, A2)
+        eta = harmonic_penalty(A1, A2)
         al = _alpha_on(alpha, g.fids)
 
         # consistency term C[n, j, k] = sum_q w_q J_j {A grad phi_k . n}
         C = np.empty((n, 8, 8))
-        C[:, :, :4] = (o1[:, None] * (_face_diffusivity_q(s1, equation) @ g.T1.T)
+        C[:, :, :4] = (o1[:, None] * (_diffusivity(s1.q, equation) @ g.T1.T)
                        ).reshape(n, 8, 4)
-        C[:, :, 4:] = (o2[:, None] * (_face_diffusivity_q(s2, equation) @ g.T2.T)
+        C[:, :, 4:] = (o2[:, None] * (_diffusivity(s2.q, equation) @ g.T2.T)
                        ).reshape(n, 8, 4)
         hC = g.h[:, None, None] * C
         blocks = (al * eta)[:, None, None] * g.JwJ - hC + theta * hC.transpose(0, 2, 1)
@@ -414,14 +380,7 @@ def _diffusion_parts(mesh, coeffs, equation, alpha, theta):
 
 def _check_face_positivity(A1, A2, equation):
     lo = min(A1.min(initial=np.inf), A2.min(initial=np.inf))
-    if equation == "vapor":
-        if lo < 0.0:
-            raise NonPositiveCoefficientError(
-                f"negative vapor face diffusivity {lo}")
-        if lo == 0.0:
-            warnings.warn("vapor face penalty vanished; equation is "
-                          "advection-dominated on some faces", RuntimeWarning)
-    elif lo <= 0.0:
+    if lo <= 0.0:
         raise NonPositiveCoefficientError(
             f"non-positive {equation} face diffusivity {lo}; "
             "saturation clamping failed")
@@ -489,14 +448,14 @@ def _neumann_rhs(mesh, rhs, case, unknown, t_next):
         np.add.at(rhs, t.elem_dofs[bg.elems], bg.h[:, None] * (jval @ bg.trw.T))
 
 
-def _pressure_rhs(mesh, coeffs, cfg, case, t_next):
+def _pressure_rhs(mesh, coeffs, case, t_next):
     rhs = np.zeros(4 * mesh.n_elements)
     _load_rhs(mesh, rhs, case.source_total, t_next)
 
     v = coeffs.vol
     g = case.fluids.gravity_vector
     # grad p_c by the chain rule on the lagged discrete saturations
-    cap_v = v.kappa * v.mob.lam_v * v.dpcv
+    cap_v = _diffusivity(v, "vapor")
     cap_a = v.kappa * v.mob.lam_a * v.dpca
     fx = (cap_v * coeffs.grad_sv[0] - cap_a * coeffs.grad_sa[0]
           - v.kappa * v.mob.rho_lam_t * g[0])
@@ -513,25 +472,23 @@ def _pressure_rhs(mesh, coeffs, cfg, case, t_next):
         gn_sa1 = coeffs.sat_a_field.coeffs[grp.k1] @ grp.gn1
         gn_sa2 = coeffs.sat_a_field.coeffs[grp.k2] @ grp.gn2
 
+        m1, m2, q1, q2 = s1.mid, s2.mid, s1.q, s2.q
         # vapor capillary average, weights from the kappa*lam_v midpoint traces
-        o1, o2 = _average_weights(s1.kappa * s1.mob.lam_v,
-                                  s2.kappa * s2.mob.lam_v)
-        k1, k2 = s1.kappa[:, None], s2.kappa[:, None]
-        avg = o1[:, None] * k1 * s1.q_mob.lam_v * s1.q_dpcv * gn_sv1 \
-            + o2[:, None] * k2 * s2.q_mob.lam_v * s2.q_dpcv * gn_sv2
+        o1, o2 = _average_weights(m1.kappa * m1.mob.lam_v, m2.kappa * m2.mob.lam_v)
+        avg = o1[:, None] * q1.kappa * q1.mob.lam_v * q1.dpcv * gn_sv1 \
+            + o2[:, None] * q2.kappa * q2.mob.lam_v * q2.dpcv * gn_sv2
         # minus the aqueous capillary average (dpca carries its own sign)
-        o1, o2 = _average_weights(s1.kappa * s1.mob.lam_a,
-                                  s2.kappa * s2.mob.lam_a)
-        avg -= o1[:, None] * k1 * s1.q_mob.lam_a * s1.q_dpca * gn_sa1 \
-            + o2[:, None] * k2 * s2.q_mob.lam_a * s2.q_dpca * gn_sa2
+        o1, o2 = _average_weights(m1.kappa * m1.mob.lam_a, m2.kappa * m2.mob.lam_a)
+        avg -= o1[:, None] * q1.kappa * q1.mob.lam_a * q1.dpca * gn_sa1 \
+            + o2[:, None] * q2.kappa * q2.mob.lam_a * q2.dpca * gn_sa2
 
         # gravity average, weights from the kappa*(rho lam)_t midpoint traces
         gn_dot = g[0] * grp.normal[0] + g[1] * grp.normal[1]
         if gn_dot != 0.0:
-            o1, o2 = _average_weights(s1.kappa * s1.mob.rho_lam_t,
-                                      s2.kappa * s2.mob.rho_lam_t)
-            avg -= gn_dot * (o1[:, None] * k1 * s1.q_mob.rho_lam_t
-                             + o2[:, None] * k2 * s2.q_mob.rho_lam_t)
+            o1, o2 = _average_weights(m1.kappa * m1.mob.rho_lam_t,
+                                      m2.kappa * m2.mob.rho_lam_t)
+            avg -= gn_dot * (o1[:, None] * q1.kappa * q1.mob.rho_lam_t
+                             + o2[:, None] * q2.kappa * q2.mob.rho_lam_t)
 
         _face_load(rhs, grp, avg)
 
@@ -539,18 +496,14 @@ def _pressure_rhs(mesh, coeffs, cfg, case, t_next):
     return rhs
 
 
-def _average_weights(A1, A2):
-    den = A1 + A2
-    return A2 / den, A1 / den
-
-
 def _group_upwind(grp, s1, s2, velocity, gravity, rho, phase):
     """Per-face upwind side mask (True = k1) from the midpoint selector."""
+    m1, m2 = s1.mid, s2.mid
     if phase == "a":
-        d1, d2 = s1.mob.lam_a, s2.mob.lam_a
+        d1, d2 = m1.mob.lam_a, m2.mob.lam_a
     else:
-        d1, d2 = s1.mob.lam_v, s2.mob.lam_v
-    dg1, dg2 = rho * s1.kappa * d1, rho * s2.kappa * d2
+        d1, d2 = m1.mob.lam_v, m2.mob.lam_v
+    dg1, dg2 = rho * m1.kappa * d1, rho * m2.kappa * d2
     flux = velocity.fluxes[grp.fids]
     gn_dot = gravity[0] * grp.normal[0] + gravity[1] * grp.normal[1]
     selector = 0.5 * (d1 + d2) * flux + 0.5 * (dg1 + dg2) * gn_dot
@@ -571,22 +524,8 @@ def upwind_coefficients(mesh, coeffs: LaggedCoefficients, velocity: RTField,
     return out
 
 
-def velocity_at_quadrature(velocity: RTField, mesh: Mesh):
-    """RT0 reconstruction of the velocity at the volume quadrature points."""
-    t = tables(mesh)
-    e2f, nrm = mesh.elem_to_faces, mesh.face_normal
-    ux_l = velocity.fluxes[e2f[:, LEFT]] * nrm[e2f[:, LEFT], 0]
-    ux_r = velocity.fluxes[e2f[:, RIGHT]] * nrm[e2f[:, RIGHT], 0]
-    uy_b = velocity.fluxes[e2f[:, BOTTOM]] * nrm[e2f[:, BOTTOM], 1]
-    uy_t = velocity.fluxes[e2f[:, TOP]] * nrm[e2f[:, TOP], 1]
-    xi, eta = t.vol_points[:, 0], t.vol_points[:, 1]
-    ux = ux_l[:, None] * (1.0 - xi) + ux_r[:, None] * xi
-    uy = uy_b[:, None] * (1.0 - eta) + uy_t[:, None] * eta
-    return ux, uy
-
-
 def _saturation_rhs(mesh, coeffs, case, t_next, tau, velocity, phase, sat_prev,
-                    cfg, p_new):
+                    p_new):
     """Shared aqueous/vapor right-hand side; ``phase`` is 'a' or 'v'."""
     t = tables(mesh)
     rhs = np.zeros(4 * mesh.n_elements)
@@ -606,11 +545,12 @@ def _saturation_rhs(mesh, coeffs, case, t_next, tau, velocity, phase, sat_prev,
     rhs += scaled.ravel()
 
     kap = coeffs.vol.kappa
-    if cfg.advection_volume == "broken_gradient" and p_new is not None:
-        ux = -kap * (p_new.coeffs @ t.gx)
-        uy = -kap * (p_new.coeffs @ t.gy)
-    else:
-        ux, uy = velocity_at_quadrature(velocity, mesh)
+    # The volume terms take the broken pressure gradient, not the projected
+    # face fluxes: their in-element reconstruction would spread the O(h)
+    # one-sided boundary flux error over the boundary strip, which costs half
+    # an order in the fine-step studies.  Face terms use the projected fluxes.
+    ux = -kap * (p_new.coeffs @ t.gx)
+    uy = -kap * (p_new.coeffs @ t.gy)
     _flux_volume_rhs(mesh, rhs,
                      lam_q * ux + kap * rho * lam_q * g[0],
                      lam_q * uy + kap * rho * lam_q * g[1])
@@ -622,17 +562,16 @@ def _saturation_rhs(mesh, coeffs, case, t_next, tau, velocity, phase, sat_prev,
         mask, flux, gn_dot, _, (dg1, dg2) = _group_upwind(
             grp, s1, s2, velocity, g, rho, phase)
         if phase == "a":
-            d1q, d2q = s1.q_mob.lam_a, s2.q_mob.lam_a
+            d1q, d2q = s1.q.mob.lam_a, s2.q.mob.lam_a
         else:
-            d1q, d2q = s1.q_mob.lam_v, s2.q_mob.lam_v
+            d1q, d2q = s1.q.mob.lam_v, s2.q.mob.lam_v
 
         # upwind side is a per-face choice; its coefficient trace varies
         integrand = np.where(mask[:, None], d1q, d2q) * flux[:, None]
         if gn_dot != 0.0:
             o1, o2 = _average_weights(dg1, dg2)
             integrand += gn_dot * rho * (
-                o1[:, None] * s1.kappa[:, None] * d1q
-                + o2[:, None] * s2.kappa[:, None] * d2q)
+                o1[:, None] * s1.q.kappa * d1q + o2[:, None] * s2.q.kappa * d2q)
 
         _face_load(rhs, grp, -integrand)
 
@@ -758,7 +697,7 @@ def assemble_pressure(state, mesh, cfg, case, t_next,
     if coeffs is None:
         coeffs = LaggedCoefficients(mesh, case.fluids, state.sat_a, state.sat_v)
     matrix = pressure_form(mesh, cfg, coeffs)
-    rhs = _pressure_rhs(mesh, coeffs, cfg, case, t_next)
+    rhs = _pressure_rhs(mesh, coeffs, case, t_next)
     dofs, vals = dirichlet_constraints(mesh, case, "pressure", t_next)
     if constrain:
         matrix, rhs = apply_dirichlet(matrix, rhs, dofs, vals)
@@ -780,13 +719,14 @@ def assemble_vapor(state, p_new, sa_new, velocity, mesh, cfg, case, tau, t_next,
                    constrain: bool = True) -> LinearSystem:
     """Linear system of the implicit vapor-saturation solve.
 
-    With ``cfg.vapor_coeff_state == "fresh_sa"`` the vapor coefficients are
-    evaluated at the just-computed aqueous saturation instead of the lagged
-    one.
+    ``sa_new``, the new aqueous saturation, is not read: the vapor closures
+    (``lam_v = s_v^2 / mu_v``, ``p_cv'(s_v)`` and a clamp that cuts each
+    saturation off on its own) read only s_v, so coefficients lagged at
+    either aqueous saturation are the same.  It stays in the signature
+    because the public call order passes it, positionally (so does the
+    benchmark's replay of :func:`~dgflow.solver.advance`).
     """
-    if cfg.vapor_coeff_state == "fresh_sa" and sa_new is not None:
-        coeffs = LaggedCoefficients(mesh, case.fluids, sa_new, state.sat_v)
-    elif coeffs is None:
+    if coeffs is None:
         coeffs = LaggedCoefficients(mesh, case.fluids, state.sat_a, state.sat_v)
     return _assemble_saturation("v", state.sat_v, p_new, velocity, mesh, cfg,
                                 case, tau, t_next, coeffs, constrain)
@@ -796,7 +736,7 @@ def _assemble_saturation(phase, sat_prev, p_new, velocity, mesh, cfg, case, tau,
                          t_next, coeffs, constrain) -> LinearSystem:
     matrix = _saturation_form(phase, mesh, cfg, case, tau, coeffs)
     rhs = _saturation_rhs(mesh, coeffs, case, t_next, tau, velocity, phase,
-                          sat_prev, cfg, p_new)
+                          sat_prev, p_new)
     dofs, vals = dirichlet_constraints(mesh, case, "sat_" + phase, t_next)
     if constrain:
         matrix, rhs = apply_dirichlet(matrix, rhs, dofs, vals)
@@ -860,15 +800,15 @@ def rt0_project(p_new: DGField, state, mesh, cfg,
         if len(grp.fids) == 0:
             continue
         s1, s2 = coeffs.face[grp.key]
-        A1 = _face_diffusivity(s1, "pressure")
-        A2 = _face_diffusivity(s2, "pressure")
+        A1 = _diffusivity(s1.mid, "pressure")
+        A2 = _diffusivity(s2.mid, "pressure")
         o1, o2 = _average_weights(A1, A2)
         eta = harmonic_penalty(A1, A2)
         al = _alpha_on(cfg.alpha_p, grp.fids)
 
         gn1 = p_new.coeffs[grp.k1] @ grp.gn1
         gn2 = p_new.coeffs[grp.k2] @ grp.gn2
-        avg = (o1 * s1.kappa)[:, None] * gn1 + (o2 * s2.kappa)[:, None] * gn2
+        avg = (o1 * s1.mid.kappa)[:, None] * gn1 + (o2 * s2.mid.kappa)[:, None] * gn2
         jump_p = p_new.coeffs[grp.k1] @ grp.tr1 - p_new.coeffs[grp.k2] @ grp.tr2
         fluxes[grp.fids] = -avg @ w + (al * eta / grp.h) * (jump_p @ w)
 
@@ -913,21 +853,16 @@ def sample_coefficient_bounds(fluids: physics.FluidProperties,
     """Sample the clamped closure range on a saturation grid."""
     grid = np.linspace(physics.SAT_EPS, 1.0 - physics.SAT_EPS, n)
     sa, sv = np.meshgrid(grid, grid, indexing="ij")
-    s = physics.clamp(sa, sv)
-    mob = physics.mobilities(s, fluids)
-    _, dpcv = physics.capillary_pressure_v(s.s_v)
-    _, _, dpca_plus = physics.capillary_pressure_a(s.s_a)
+    c = _closures(sa, sv, fluids, 1.0)   # kappa is applied to the extremes
     kap_lo = float(np.min(fluids.permeability))
     kap_hi = float(np.max(fluids.permeability))
 
-    def bounds(c):
-        return (kap_lo * float(c.min()), kap_hi * float(c.max()))
+    def bounds(equation):
+        d = _diffusivity(c, equation)
+        return (kap_lo * float(d.min()), kap_hi * float(d.max()))
 
-    return CoefficientBounds(
-        pressure=bounds(mob.lam_t),
-        aqueous=bounds(mob.lam_a * dpca_plus),
-        vapor=bounds(mob.lam_v * dpcv),
-    )
+    return CoefficientBounds(pressure=bounds("pressure"), aqueous=bounds("aqueous"),
+                             vapor=bounds("vapor"))
 
 
 def reference_trace_constant() -> float:

@@ -7,16 +7,13 @@ sub-iteration is performed.  Stored saturation fields are never clamped,
 clamping happens only inside coefficient evaluation.
 
 What runs where.  Because the coefficients are lagged, the two saturation
-matrices (with the default ``vapor_coeff_state="lagged"``) depend only on
-the previous state, tau and the Dirichlet DOFs; only their right-hand
-sides need the new pressure, and the vapor one the new aqueous
-saturation.  So :func:`advance` builds and constrains both saturation
-matrices before it assembles the pressure system, and hands them to a
-helper process, which factors them while this process assembles, factors
-and solves the pressure system.  The saturation right-hand sides then go
-to the helper, and the refined solutions come back.  With
-``vapor_coeff_state="fresh_sa"`` the vapor matrix needs the new aqueous
-saturation, so it is handed over after the aqueous solve.
+matrices depend only on the previous state, tau and the Dirichlet DOFs;
+only their right-hand sides need the new pressure.  So :func:`advance`
+builds and constrains both saturation matrices before it assembles the
+pressure system, and hands them to a helper process, which factors them
+while this process assembles, factors and solves the pressure system.
+The saturation right-hand sides then go to the helper, and the refined
+solutions come back.
 
 * The helper is started at the first system of ``HELPER_MIN_UNKNOWNS``
   unknowns or more, never at import: a second interpreter (about 1 s to
@@ -427,43 +424,38 @@ def _can_run_helper() -> bool:
 
 
 class _SaturationSolves:
-    """The saturation solves of one step.  With the helper, the matrices
-    are built and handed over before the pressure solve, and this process
-    keeps only what constrains each right-hand side; if the helper is lost,
-    a matrix is built again and solved here.  Without it, nothing would run
-    beside the pressure solve, so each matrix is built when it is solved,
-    in the serial order: building both first made 16x16 steps 4% slower and
-    their peak memory 0.5% higher."""
+    """The saturation solves of one step.  With the helper, both matrices
+    are built and handed over here, before the pressure solve, and this
+    process keeps only what constrains each right-hand side; if the helper
+    is lost, a matrix is built again and solved here.  Without it, nothing
+    would run beside the pressure solve, so each matrix is built when it is
+    solved, in the serial order: building both first made 16x16 steps 4%
+    slower and their peak memory 0.5% higher."""
 
-    def __init__(self, state, cfg, case, tau, t_next):
-        self.state, self.cfg, self.case, self.tau, self.t_next = (
-            state, cfg, case, tau, t_next)
+    def __init__(self, state, cfg, case, tau, t_next, coeffs: LaggedCoefficients):
+        self.state, self.cfg, self.case, self.tau, self.t_next, self.coeffs = (
+            state, cfg, case, tau, t_next, coeffs)
         self.helper = _helper_for(4 * state.mesh.n_elements)
-        self.coeffs, self.lifts = {}, {}
-
-    def _matrix(self, phase):
-        return assembly._saturation_matrix(phase, self.state.mesh, self.cfg, self.case,
-                                           self.tau, self.t_next, self.coeffs[phase])
-
-    def factor(self, phases: str, coeffs: LaggedCoefficients) -> None:
-        for phase in phases:
-            self.coeffs[phase] = coeffs
+        self.lifts = {}
         if self.helper is None:
             return
         matrices = {}
-        for phase in phases:
+        for phase in "av":
             matrices[phase], self.lifts[phase] = self._matrix(phase)
         try:
             self.helper.factor(matrices)
         except _HelperLost:
             self.helper = None
 
+    def _matrix(self, phase):
+        return assembly._saturation_matrix(phase, self.state.mesh, self.cfg, self.case,
+                                           self.tau, self.t_next, self.coeffs)
+
     def solve(self, phase: str, p_new: DGField, velocity) -> DGField:
         state = self.state
         sat_prev = state.sat_a if phase == "a" else state.sat_v
-        rhs = assembly._saturation_rhs(state.mesh, self.coeffs[phase], self.case,
-                                       self.t_next, self.tau, velocity, phase,
-                                       sat_prev, self.cfg, p_new)
+        rhs = assembly._saturation_rhs(state.mesh, self.coeffs, self.case, self.t_next,
+                                       self.tau, velocity, phase, sat_prev, p_new)
         if self.helper is None:
             matrix, lift = self._matrix(phase)
             x = _Factorization(matrix).solve(lift(rhs))
@@ -490,10 +482,9 @@ def advance(state: PhaseState, tau: float, cfg: SchemeConfig, case) -> PhaseStat
     """One sequential-implicit step: pressure, velocity, aqueous, vapor.
 
     The saturation matrices are built first, from the lagged coefficients,
-    and handed over to be factored; the vapor one after the aqueous solve
-    when ``cfg.vapor_coeff_state == "fresh_sa"``.  Then come the pressure
-    solve, the RT0 projection and the two saturation right-hand sides and
-    solves.  Systems of ``HELPER_MIN_UNKNOWNS`` unknowns or more are
+    and handed over to be factored.  Then come the pressure solve, the
+    RT0 projection and the two saturation right-hand sides and solves.
+    Systems of ``HELPER_MIN_UNKNOWNS`` unknowns or more are
     factored in the helper process while this one solves the pressure;
     the new state has the same bits either way.  Errors raised by the
     solves or the coefficient checks name the step.
@@ -502,16 +493,11 @@ def advance(state: PhaseState, tau: float, cfg: SchemeConfig, case) -> PhaseStat
     t_next = state.time + tau
     try:
         coeffs = LaggedCoefficients(mesh, case.fluids, state.sat_a, state.sat_v)
-        saturations = _SaturationSolves(state, cfg, case, tau, t_next)
-        lagged = cfg.vapor_coeff_state == "lagged"
-        saturations.factor("av" if lagged else "a", coeffs)
+        saturations = _SaturationSolves(state, cfg, case, tau, t_next, coeffs)
         p_new = DGField.from_vector(mesh, solve_linear(assembly.assemble_pressure(
             state, mesh, cfg, case, t_next, coeffs)), "pressure")
         velocity = assembly.rt0_project(p_new, state, mesh, cfg, coeffs)
         sa_new = saturations.solve("a", p_new, velocity)
-        if not lagged:
-            saturations.factor("v", LaggedCoefficients(mesh, case.fluids, sa_new,
-                                                       state.sat_v))
         sv_new = saturations.solve("v", p_new, velocity)
     except STEP_ERRORS as exc:
         raise type(exc)(f"step {state.step} -> {state.step + 1}: {exc}") from exc

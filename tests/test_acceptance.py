@@ -158,14 +158,14 @@ def test_criterion_4_patch_tests():
                                            StubCase(pressure=fn), 1.0)
             elif unknown == "sat_a":
                 cfg = SchemeConfig(theta_a=theta, alpha_a=alpha)
-                system = assemble_aqueous(state, None, RTField.zeros(mesh),
-                                          mesh, cfg, StubCase(sat_a=fn),
-                                          1e15, 1.0)
+                system = assemble_aqueous(state, state.pressure,
+                                          RTField.zeros(mesh), mesh, cfg,
+                                          StubCase(sat_a=fn), 1e15, 1.0)
             else:
                 cfg = SchemeConfig(theta_v=theta, alpha_v=alpha)
-                system = assemble_vapor(state, None, None, RTField.zeros(mesh),
-                                        mesh, cfg, StubCase(sat_v=fn),
-                                        1e15, 1.0)
+                system = assemble_vapor(state, state.pressure, None,
+                                        RTField.zeros(mesh), mesh, cfg,
+                                        StubCase(sat_v=fn), 1e15, 1.0)
             sol = solve_linear(system)
             exact = nodal_interpolant(mesh, lambda x, y: fn(1.0, x, y))
             worst = max(worst, float(np.max(np.abs(sol - exact.vector))))

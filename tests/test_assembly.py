@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
@@ -44,6 +46,53 @@ def test_harmonic_penalty_degenerate():
         harmonic_penalty(0.0, 0.0)
 
 
+def test_vanishing_vapor_diffusivity_raises(monkeypatch):
+    # the clamp keeps kappa lam_v p_cv' > 0; a closure that lets it vanish
+    # fails at assembly, as for the other two equations
+    real = physics.mobilities
+
+    def no_vapor(s, fluids):
+        mob = real(s, fluids)
+        return dataclasses.replace(mob, lam_v=np.zeros_like(mob.lam_v))
+
+    monkeypatch.setattr(physics, "mobilities", no_vapor)
+    mesh = build_uniform_mesh(4, 4)
+    coeffs = make_coeffs(mesh, constant_state(mesh))
+    aqueous_form(mesh, NIPG, coeffs)
+    with pytest.raises(NonPositiveCoefficientError, match="non-positive vapor"):
+        vapor_form(mesh, NIPG, coeffs)
+
+
+def test_vapor_system_does_not_read_sat_a():
+    # The vapor closures (lam_v = s_v^2 / mu_v, p_cv'(s_v), a clamp that
+    # cuts each saturation off on its own) read only s_v.  That is why the
+    # scheme has no switch for the aqueous saturation the vapor
+    # coefficients are lagged at: it cannot change a bit.  If a closure
+    # ever makes them depend on s_a, this fails and the choice matters again.
+    rng = np.random.default_rng(31)
+    mesh = build_uniform_mesh(6, 6)
+    case = gravity_case()
+    shape = (mesh.n_elements, 4)
+    sat_v = DGField(mesh, rng.uniform(0.05, 0.45, shape), "sat_v")
+    state = PhaseState(DGField(mesh, rng.uniform(1.0, 3.0, shape), "pressure"),
+                       DGField(mesh, rng.uniform(0.05, 0.45, shape), "sat_a"), sat_v)
+    velocity = RTField(mesh, rng.normal(size=mesh.n_faces))
+    vapor, aqueous = [], []
+    for _ in range(2):
+        sat_a = DGField(mesh, rng.uniform(0.05, 0.45, shape), "sat_a")
+        coeffs = LaggedCoefficients(mesh, case.fluids, sat_a, sat_v)
+        args = (velocity, mesh, NIPG, case, 0.05, 0.3, coeffs)
+        vapor.append(assemble_vapor(state, state.pressure, None, *args, constrain=False))
+        aqueous.append(assemble_aqueous(state, state.pressure, *args, constrain=False))
+    # the two aqueous saturations do reach the closures
+    assert not np.array_equal(aqueous[0].matrix.data, aqueous[1].matrix.data)
+    a, b = vapor
+    assert np.array_equal(a.matrix.indptr, b.matrix.indptr)
+    assert np.array_equal(a.matrix.indices, b.matrix.indices)
+    assert np.array_equal(a.matrix.data, b.matrix.data)
+    assert np.array_equal(a.rhs, b.rhs)
+
+
 # -- patch tests ---------------------------------------------------------------
 
 def _patch_alpha(theta):
@@ -71,8 +120,8 @@ def test_aqueous_patch_test(theta):
     linear_sa = lambda t, x, y: 0.2 + 0.05 * x + 0.1 * y
     case = StubCase(sat_a=linear_sa)
     cfg = SchemeConfig(theta_a=theta, alpha_a=_patch_alpha(theta))
-    system = assemble_aqueous(state, None, RTField.zeros(mesh), mesh, cfg,
-                              case, tau=1e15, t_next=1.0)
+    system = assemble_aqueous(state, state.pressure, RTField.zeros(mesh), mesh,
+                              cfg, case, tau=1e15, t_next=1.0)
     sol = solve_linear(system)
     expected = nodal_interpolant(mesh, lambda x, y: linear_sa(1.0, x, y))
     assert np.max(np.abs(sol - expected.vector)) < 1e-10
@@ -85,8 +134,8 @@ def test_vapor_patch_test(theta):
     linear_sv = lambda t, x, y: 0.3 - 0.04 * x + 0.02 * y
     case = StubCase(sat_v=linear_sv)
     cfg = SchemeConfig(theta_v=theta, alpha_v=_patch_alpha(theta))
-    system = assemble_vapor(state, None, None, RTField.zeros(mesh), mesh, cfg,
-                            case, tau=1e15, t_next=1.0)
+    system = assemble_vapor(state, state.pressure, None, RTField.zeros(mesh), mesh,
+                            cfg, case, tau=1e15, t_next=1.0)
     sol = solve_linear(system)
     expected = nodal_interpolant(mesh, lambda x, y: linear_sv(1.0, x, y))
     assert np.max(np.abs(sol - expected.vector)) < 1e-10
@@ -123,8 +172,8 @@ def test_aqueous_patch_with_neumann_side():
     case.neumann_sat_a = lambda t, x, y, n: np.broadcast_to(
         diff * (grad[0] * n[0] + grad[1] * n[1]),
         np.broadcast_shapes(np.shape(x), np.shape(y))).copy()
-    system = assemble_aqueous(state, None, RTField.zeros(mesh), mesh, NIPG,
-                              case, tau=1e15, t_next=1.0)
+    system = assemble_aqueous(state, state.pressure, RTField.zeros(mesh), mesh,
+                              NIPG, case, tau=1e15, t_next=1.0)
     sol = solve_linear(system)
     expected = nodal_interpolant(mesh, lambda x, y: linear_sa(1.0, x, y))
     assert np.max(np.abs(sol - expected.vector)) < 1e-10
@@ -336,12 +385,10 @@ def test_rt0_normal_trace_single_valued():
     mesh = build_uniform_mesh(3, 2)
     rng = np.random.default_rng(8)
     velocity = RTField(mesh, rng.normal(size=mesh.n_faces))
-    ux, uy = assembly.velocity_at_quadrature(velocity, mesh)
-    assert ux.shape == (mesh.n_elements, 9)
     from dgflow.mesh import LEFT, RIGHT
     for fid in mesh.interior_vertical:
         k1, k2 = mesh.face_k1[fid], mesh.face_k2[fid]
-        # evaluate u.n at the face from both sides via the reconstruction
+        # each side's face list points at the same stored normal flux
         f1 = velocity.fluxes[mesh.elem_to_faces[k1, RIGHT]]
         f2 = velocity.fluxes[mesh.elem_to_faces[k2, LEFT]]
         assert f1 == f2  # same stored scalar

@@ -13,7 +13,7 @@ import pytest
 import sympy as sp
 
 from dgflow import assembly
-from dgflow.assembly import LaggedCoefficients, RTField, SchemeConfig
+from dgflow.assembly import LaggedCoefficients, RTField
 from dgflow.dg_core import FACE_POINTS, DGField, gauss_1d, tables
 from dgflow.manufactured import (_T, _X, _Y, ManufacturedCase,
                                  constant_densities_case, gravity_case)
@@ -36,7 +36,7 @@ def assert_close(actual, reference):
 
 def ref_volume_blocks(mesh, coeffs, equation):
     t = tables(mesh)
-    cw = assembly._vol_diffusivity(coeffs, equation) * t.wdet
+    cw = assembly._diffusivity(coeffs.vol, equation) * t.wdet
     return (np.einsum("eq,jq,kq->ejk", cw, t.gx, t.gx)
             + np.einsum("eq,jq,kq->ejk", cw, t.gy, t.gy))
 
@@ -45,8 +45,8 @@ def ref_face_blocks(mesh, coeffs, equation, alpha, theta, grp):
     t = tables(mesh)
     w = t.face_w
     s1, s2 = coeffs.face[grp.key]
-    A1 = assembly._face_diffusivity(s1, equation)
-    A2 = assembly._face_diffusivity(s2, equation)
+    A1 = assembly._diffusivity(s1.mid, equation)
+    A2 = assembly._diffusivity(s2.mid, equation)
     den = A1 + A2
     o1, o2 = A2 / den, A1 / den
     eta = 2.0 * A1 * A2 / den
@@ -54,8 +54,8 @@ def ref_face_blocks(mesh, coeffs, equation, alpha, theta, grp):
     grad = t.trace_gx if grp.normal[0] != 0.0 else t.trace_gy
     gn1, gn2 = grad[grp.e1], grad[grp.e2]
     J = np.vstack([t.trace_phi[grp.e1], -t.trace_phi[grp.e2]])
-    A1q = assembly._face_diffusivity_q(s1, equation)
-    A2q = assembly._face_diffusivity_q(s2, equation)
+    A1q = assembly._diffusivity(s1.q, equation)
+    A2q = assembly._diffusivity(s2.q, equation)
     G = np.empty((len(grp.fids), 8, len(w)))
     G[:, :4, :] = o1[:, None, None] * A1q[:, None, :] * gn1[None]
     G[:, 4:, :] = o2[:, None, None] * A2q[:, None, :] * gn2[None]
@@ -151,14 +151,10 @@ def test_diffusion_blocks_match_einsum_reference(lagged, equation, theta):
 
 def _right_hand_sides(d):
     mesh, coeffs, case = d["mesh"], d["coeffs"], d["case"]
-    out = []
-    for advection in ("broken_gradient", "rt_field"):
-        cfg = SchemeConfig(advection_volume=advection)
-        out.append(assembly._pressure_rhs(mesh, coeffs, cfg, case, 0.3))
-        for phase, prev in (("a", d["sat_a"]), ("v", d["sat_v"])):
-            out.append(assembly._saturation_rhs(
-                mesh, coeffs, case, 0.3, 0.05, d["velocity"], phase, prev,
-                cfg, d["p_new"]))
+    out = [assembly._pressure_rhs(mesh, coeffs, case, 0.3)]
+    for phase, prev in (("a", d["sat_a"]), ("v", d["sat_v"])):
+        out.append(assembly._saturation_rhs(
+            mesh, coeffs, case, 0.3, 0.05, d["velocity"], phase, prev, d["p_new"]))
     return out
 
 

@@ -177,28 +177,6 @@ def test_error_decreases_under_refinement():
         assert errs[0][i] > errs[1][i] > errs[2][i]
 
 
-def test_rt_field_advection_mode_runs():
-    # literal in-element reconstruction of the projected velocity: less
-    # accurate near the boundary, but a supported configuration
-    case = constant_densities_case()
-    cfg = SchemeConfig(advection_volume="rt_field")
-    _, rep = run(case, build_uniform_mesh(4, 4),
-                 TimeConfig.from_step(0.25, 0.5), cfg)
-    assert np.isfinite(rep.l2_sat_a) and rep.l2_sat_a < 0.05
-    assert rep.saturations_in_bounds
-
-
-def test_fresh_sa_vapor_coefficients_match_lagged_here():
-    # with these closures the vapor coefficients do not depend on the
-    # aqueous saturation, so both settings coincide
-    case = constant_densities_case()
-    mesh = build_uniform_mesh(3, 3)
-    time = TimeConfig.from_step(0.25, 0.5)
-    s1, _ = run(case, mesh, time, SchemeConfig(vapor_coeff_state="lagged"))
-    s2, _ = run(case, mesh, time, SchemeConfig(vapor_coeff_state="fresh_sa"))
-    assert np.allclose(s1.sat_v.coeffs, s2.sat_v.coeffs, atol=1e-13)
-
-
 def test_solver_error_carries_step_index():
     # pure-Neumann pressure problem: the matrix is singular (constants)
     mesh = build_uniform_mesh(2, 2)

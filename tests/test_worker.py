@@ -87,9 +87,8 @@ def _assert_same_bits(a, b):
         assert np.array_equal(x.coeffs, y.coeffs)
 
 
-@pytest.mark.parametrize("vapor_coeff_state", ["lagged", "fresh_sa"])
-def test_advance_matches_serial_replay(case, start, vapor_coeff_state):
-    cfg = SchemeConfig(vapor_coeff_state=vapor_coeff_state)
+def test_advance_matches_serial_replay(case, start):
+    cfg = SchemeConfig()
     stepped = replayed = start
     for _ in range(2):
         stepped = advance(stepped, TAU, cfg, case)

@@ -344,6 +344,31 @@ def _alpha_on(alpha, fids):
     return a[fids] if a.ndim else np.full(len(fids), float(a))
 
 
+def _face_weights(s1, s2, equation, alpha, fids):
+    """The interior-face rule of one equation, from its midpoint
+    diffusivity traces: the averaging weights ``(o1, o2)`` and the scaled
+    jump penalty ``alpha * eta`` of each face.  The pressure form and the
+    RT0 projection share it, so the projected flux is the form's flux."""
+    A1 = _diffusivity(s1.mid, equation)
+    A2 = _diffusivity(s2.mid, equation)
+    lo = min(A1.min(initial=np.inf), A2.min(initial=np.inf))
+    if lo <= 0.0:
+        raise NonPositiveCoefficientError(
+            f"non-positive {equation} face diffusivity {lo}; "
+            "saturation clamping failed")
+    o1, o2 = _average_weights(A1, A2)
+    return o1, o2, _alpha_on(alpha, fids) * harmonic_penalty(A1, A2)
+
+
+def _face_average(w1, w2, f1, f2):
+    """Weighted face average of two one-sided products: the weights come
+    from the midpoint traces ``w1, w2``, and each side's factors ``f1``,
+    ``f2`` multiply its weight left to right."""
+    o1, o2 = _average_weights(w1, w2)
+    return (functools.reduce(np.multiply, f1, o1[:, None])
+            + functools.reduce(np.multiply, f2, o2[:, None]))
+
+
 def _diffusion_parts(mesh, coeffs, equation, alpha, theta):
     """Block entries of the volume + interior-face diffusion form, in the
     order of the mesh's scatter map (see :func:`_block_pattern`)."""
@@ -355,15 +380,8 @@ def _diffusion_parts(mesh, coeffs, equation, alpha, theta):
 
     for g in _groups(mesh).interior:
         n = len(g.fids)
-        if n == 0:
-            continue
         s1, s2 = coeffs.face[g.key]
-        A1 = _diffusivity(s1.mid, equation)
-        A2 = _diffusivity(s2.mid, equation)
-        _check_face_positivity(A1, A2, equation)
-        o1, o2 = _average_weights(A1, A2)
-        eta = harmonic_penalty(A1, A2)
-        al = _alpha_on(alpha, g.fids)
+        o1, o2, penalty = _face_weights(s1, s2, equation, alpha, g.fids)
 
         # consistency term C[n, j, k] = sum_q w_q J_j {A grad phi_k . n}
         C = np.empty((n, 8, 8))
@@ -372,18 +390,10 @@ def _diffusion_parts(mesh, coeffs, equation, alpha, theta):
         C[:, :, 4:] = (o2[:, None] * (_diffusivity(s2.q, equation) @ g.T2.T)
                        ).reshape(n, 8, 4)
         hC = g.h[:, None, None] * C
-        blocks = (al * eta)[:, None, None] * g.JwJ - hC + theta * hC.transpose(0, 2, 1)
+        blocks = penalty[:, None, None] * g.JwJ - hC + theta * hC.transpose(0, 2, 1)
         data.append(blocks.ravel())
 
     return data
-
-
-def _check_face_positivity(A1, A2, equation):
-    lo = min(A1.min(initial=np.inf), A2.min(initial=np.inf))
-    if lo <= 0.0:
-        raise NonPositiveCoefficientError(
-            f"non-positive {equation} face diffusivity {lo}; "
-            "saturation clamping failed")
 
 
 def _form_matrix(mesh, coeffs, equation, alpha, theta) -> sps.csr_matrix:
@@ -440,8 +450,6 @@ def _neumann_rhs(mesh, rhs, case, unknown, t_next):
     jfn = getattr(case, "neumann_" + unknown)
     for side in sides:
         bg = _groups(mesh).boundary[side]
-        if len(bg.fids) == 0:
-            continue
         jval = np.broadcast_to(
             np.asarray(jfn(t_next, bg.qx, bg.qy, bg.normal), dtype=float),
             bg.qx.shape)
@@ -464,8 +472,6 @@ def _pressure_rhs(mesh, coeffs, case, t_next):
     _flux_volume_rhs(mesh, rhs, fx, fy, sign=-1.0)
 
     for grp in _groups(mesh).interior:
-        if len(grp.fids) == 0:
-            continue
         s1, s2 = coeffs.face[grp.key]
         gn_sv1 = coeffs.sat_v_field.coeffs[grp.k1] @ grp.gn1
         gn_sv2 = coeffs.sat_v_field.coeffs[grp.k2] @ grp.gn2
@@ -474,21 +480,20 @@ def _pressure_rhs(mesh, coeffs, case, t_next):
 
         m1, m2, q1, q2 = s1.mid, s2.mid, s1.q, s2.q
         # vapor capillary average, weights from the kappa*lam_v midpoint traces
-        o1, o2 = _average_weights(m1.kappa * m1.mob.lam_v, m2.kappa * m2.mob.lam_v)
-        avg = o1[:, None] * q1.kappa * q1.mob.lam_v * q1.dpcv * gn_sv1 \
-            + o2[:, None] * q2.kappa * q2.mob.lam_v * q2.dpcv * gn_sv2
+        avg = _face_average(m1.kappa * m1.mob.lam_v, m2.kappa * m2.mob.lam_v,
+                            (q1.kappa, q1.mob.lam_v, q1.dpcv, gn_sv1),
+                            (q2.kappa, q2.mob.lam_v, q2.dpcv, gn_sv2))
         # minus the aqueous capillary average (dpca carries its own sign)
-        o1, o2 = _average_weights(m1.kappa * m1.mob.lam_a, m2.kappa * m2.mob.lam_a)
-        avg -= o1[:, None] * q1.kappa * q1.mob.lam_a * q1.dpca * gn_sa1 \
-            + o2[:, None] * q2.kappa * q2.mob.lam_a * q2.dpca * gn_sa2
+        avg -= _face_average(m1.kappa * m1.mob.lam_a, m2.kappa * m2.mob.lam_a,
+                             (q1.kappa, q1.mob.lam_a, q1.dpca, gn_sa1),
+                             (q2.kappa, q2.mob.lam_a, q2.dpca, gn_sa2))
 
         # gravity average, weights from the kappa*(rho lam)_t midpoint traces
         gn_dot = g[0] * grp.normal[0] + g[1] * grp.normal[1]
         if gn_dot != 0.0:
-            o1, o2 = _average_weights(m1.kappa * m1.mob.rho_lam_t,
-                                      m2.kappa * m2.mob.rho_lam_t)
-            avg -= gn_dot * (o1[:, None] * q1.kappa * q1.mob.rho_lam_t
-                             + o2[:, None] * q2.kappa * q2.mob.rho_lam_t)
+            avg -= gn_dot * _face_average(
+                m1.kappa * m1.mob.rho_lam_t, m2.kappa * m2.mob.rho_lam_t,
+                (q1.kappa, q1.mob.rho_lam_t), (q2.kappa, q2.mob.rho_lam_t))
 
         _face_load(rhs, grp, avg)
 
@@ -496,32 +501,16 @@ def _pressure_rhs(mesh, coeffs, case, t_next):
     return rhs
 
 
-def _group_upwind(grp, s1, s2, velocity, gravity, rho, phase):
-    """Per-face upwind side mask (True = k1) from the midpoint selector."""
+def _group_upwind(grp, s1, s2, velocity, gravity, rho, lam):
+    """Per-face upwind side mask (True = k1) from the midpoint selector of
+    the mobility named ``lam``; also the fluxes, g . n and both rho kappa lam."""
     m1, m2 = s1.mid, s2.mid
-    if phase == "a":
-        d1, d2 = m1.mob.lam_a, m2.mob.lam_a
-    else:
-        d1, d2 = m1.mob.lam_v, m2.mob.lam_v
+    d1, d2 = getattr(m1.mob, lam), getattr(m2.mob, lam)
     dg1, dg2 = rho * m1.kappa * d1, rho * m2.kappa * d2
     flux = velocity.fluxes[grp.fids]
     gn_dot = gravity[0] * grp.normal[0] + gravity[1] * grp.normal[1]
     selector = 0.5 * (d1 + d2) * flux + 0.5 * (dg1 + dg2) * gn_dot
-    return selector >= 0.0, flux, gn_dot, (d1, d2), (dg1, dg2)
-
-
-def upwind_coefficients(mesh, coeffs: LaggedCoefficients, velocity: RTField,
-                        gravity, rho, phase: str) -> np.ndarray:
-    """Upwinded midpoint mobility indexed by face id (interior faces only)."""
-    out = np.zeros(mesh.n_faces)
-    for grp in _groups(mesh).interior:
-        if len(grp.fids) == 0:
-            continue
-        s1, s2 = coeffs.face[grp.key]
-        mask, _, _, (d1, d2), _ = _group_upwind(grp, s1, s2, velocity,
-                                                gravity, rho, phase)
-        out[grp.fids] = np.where(mask, d1, d2)
-    return out
+    return selector >= 0.0, flux, gn_dot, (dg1, dg2)
 
 
 def _saturation_rhs(mesh, coeffs, case, t_next, tau, velocity, phase, sat_prev,
@@ -531,14 +520,11 @@ def _saturation_rhs(mesh, coeffs, case, t_next, tau, velocity, phase, sat_prev,
     rhs = np.zeros(4 * mesh.n_elements)
     fluids = case.fluids
     g = fluids.gravity_vector
-    if phase == "a":
-        source, unknown, rho = case.source_aqueous, "sat_a", fluids.rho_a
-        lam_q = coeffs.vol.mob.lam_a
-    else:
-        source, unknown, rho = case.source_vapor, "sat_v", fluids.rho_v
-        lam_q = coeffs.vol.mob.lam_v
+    lam, rho = "lam_" + phase, getattr(fluids, "rho_" + phase)
+    lam_q = getattr(coeffs.vol.mob, lam)
 
-    _load_rhs(mesh, rhs, source, t_next)
+    _load_rhs(mesh, rhs, case.source_aqueous if phase == "a" else case.source_vapor,
+              t_next)
 
     # (phi/tau)(S^n, w)
     scaled = (fluids.porosity / tau) * np.einsum("jk,ek->ej", t.mass, sat_prev.coeffs)
@@ -556,26 +542,20 @@ def _saturation_rhs(mesh, coeffs, case, t_next, tau, velocity, phase, sat_prev,
                      lam_q * uy + kap * rho * lam_q * g[1])
 
     for grp in _groups(mesh).interior:
-        if len(grp.fids) == 0:
-            continue
         s1, s2 = coeffs.face[grp.key]
-        mask, flux, gn_dot, _, (dg1, dg2) = _group_upwind(
-            grp, s1, s2, velocity, g, rho, phase)
-        if phase == "a":
-            d1q, d2q = s1.q.mob.lam_a, s2.q.mob.lam_a
-        else:
-            d1q, d2q = s1.q.mob.lam_v, s2.q.mob.lam_v
+        mask, flux, gn_dot, (dg1, dg2) = _group_upwind(grp, s1, s2, velocity, g,
+                                                       rho, lam)
+        d1q, d2q = getattr(s1.q.mob, lam), getattr(s2.q.mob, lam)
 
         # upwind side is a per-face choice; its coefficient trace varies
         integrand = np.where(mask[:, None], d1q, d2q) * flux[:, None]
         if gn_dot != 0.0:
-            o1, o2 = _average_weights(dg1, dg2)
-            integrand += gn_dot * rho * (
-                o1[:, None] * s1.q.kappa * d1q + o2[:, None] * s2.q.kappa * d2q)
+            integrand += gn_dot * rho * _face_average(dg1, dg2, (s1.q.kappa, d1q),
+                                                      (s2.q.kappa, d2q))
 
         _face_load(rhs, grp, -integrand)
 
-    _neumann_rhs(mesh, rhs, case, unknown, t_next)
+    _neumann_rhs(mesh, rhs, case, "sat_" + phase, t_next)
     return rhs
 
 
@@ -587,8 +567,6 @@ def dirichlet_constraints(mesh, case, unknown, t):
     dofs, vals = [], []
     for side in case.dirichlet_sides[unknown]:
         bg = _groups(mesh).boundary[side]
-        if len(bg.fids) == 0:
-            continue
         dofs.append(bg.dofs)
         vals.append(np.asarray(data_fn(t, bg.x, bg.y), dtype=float).ravel())
     if not dofs:
@@ -696,21 +674,16 @@ def assemble_pressure(state, mesh, cfg, case, t_next,
     """
     if coeffs is None:
         coeffs = LaggedCoefficients(mesh, case.fluids, state.sat_a, state.sat_v)
-    matrix = pressure_form(mesh, cfg, coeffs)
-    rhs = _pressure_rhs(mesh, coeffs, case, t_next)
-    dofs, vals = dirichlet_constraints(mesh, case, "pressure", t_next)
-    if constrain:
-        matrix, rhs = apply_dirichlet(matrix, rhs, dofs, vals)
-    return LinearSystem(matrix, rhs, dofs, vals)
+    return _system(pressure_form(mesh, cfg, coeffs),
+                   _pressure_rhs(mesh, coeffs, case, t_next),
+                   mesh, case, "pressure", t_next, constrain)
 
 
 def assemble_aqueous(state, p_new, velocity, mesh, cfg, case, tau, t_next,
                      coeffs: LaggedCoefficients | None = None,
                      constrain: bool = True) -> LinearSystem:
     """Linear system of the implicit aqueous-saturation solve."""
-    if coeffs is None:
-        coeffs = LaggedCoefficients(mesh, case.fluids, state.sat_a, state.sat_v)
-    return _assemble_saturation("a", state.sat_a, p_new, velocity, mesh, cfg,
+    return _assemble_saturation("a", state, p_new, velocity, mesh, cfg,
                                 case, tau, t_next, coeffs, constrain)
 
 
@@ -726,18 +699,24 @@ def assemble_vapor(state, p_new, sa_new, velocity, mesh, cfg, case, tau, t_next,
     because the public call order passes it, positionally (so does the
     benchmark's replay of :func:`~dgflow.solver.advance`).
     """
-    if coeffs is None:
-        coeffs = LaggedCoefficients(mesh, case.fluids, state.sat_a, state.sat_v)
-    return _assemble_saturation("v", state.sat_v, p_new, velocity, mesh, cfg,
+    return _assemble_saturation("v", state, p_new, velocity, mesh, cfg,
                                 case, tau, t_next, coeffs, constrain)
 
 
-def _assemble_saturation(phase, sat_prev, p_new, velocity, mesh, cfg, case, tau,
+def _assemble_saturation(phase, state, p_new, velocity, mesh, cfg, case, tau,
                          t_next, coeffs, constrain) -> LinearSystem:
-    matrix = _saturation_form(phase, mesh, cfg, case, tau, coeffs)
-    rhs = _saturation_rhs(mesh, coeffs, case, t_next, tau, velocity, phase,
-                          sat_prev, p_new)
-    dofs, vals = dirichlet_constraints(mesh, case, "sat_" + phase, t_next)
+    if coeffs is None:
+        coeffs = LaggedCoefficients(mesh, case.fluids, state.sat_a, state.sat_v)
+    return _system(_saturation_form(phase, mesh, cfg, case, tau, coeffs),
+                   _saturation_rhs(mesh, coeffs, case, t_next, tau, velocity, phase,
+                                   getattr(state, "sat_" + phase), p_new),
+                   mesh, case, "sat_" + phase, t_next, constrain)
+
+
+def _system(matrix, rhs, mesh, case, unknown, t_next, constrain) -> LinearSystem:
+    """The Dirichlet constraints of ``unknown`` at ``t_next``, imposed on
+    ``matrix`` and ``rhs`` when ``constrain`` is set."""
+    dofs, vals = dirichlet_constraints(mesh, case, unknown, t_next)
     if constrain:
         matrix, rhs = apply_dirichlet(matrix, rhs, dofs, vals)
     return LinearSystem(matrix, rhs, dofs, vals)
@@ -767,55 +746,35 @@ def _add_mass(data, mesh, scale):
     data[_groups(mesh).pattern.volume] += (scale * tables(mesh).mass).ravel()
 
 
-def _mass_matrix(mesh, scale) -> sps.csr_matrix:
-    """``scale`` times the element mass matrix, on the mesh's DG pattern
-    (its blocks are the volume blocks)."""
-    data = np.zeros(_groups(mesh).pattern.nnz)
-    _add_mass(data, mesh, scale)
-    return _on_pattern(_groups(mesh).pattern, data)
-
-
 # -- RT0 velocity projection -------------------------------------------------
 
 def rt0_project(p_new: DGField, state, mesh, cfg,
-                coeffs: LaggedCoefficients | None = None,
-                fluids: physics.FluidProperties | None = None) -> RTField:
+                coeffs: LaggedCoefficients) -> RTField:
     """Project the pressure-driven velocity onto face normal fluxes.
 
     Interior faces carry minus the weighted average of the one-sided
-    normal fluxes plus the scaled pressure jump penalty (the same lagged
-    penalty as the pressure system); boundary faces take the one-sided
-    flux.  The result is H(div)-conforming by construction.
+    normal fluxes plus the scaled pressure jump penalty, by the pressure
+    system's face rule (:func:`_face_weights`); boundary faces take the
+    one-sided flux.  The result is H(div)-conforming by construction.
+    ``state`` is not read; it stays in the signature because the public
+    call order passes it, positionally (so does the benchmark's replay).
     """
-    if coeffs is None:
-        if fluids is None:
-            raise TypeError("rt0_project needs either lagged coefficients "
-                            "or fluid properties to rebuild them")
-        coeffs = LaggedCoefficients(mesh, fluids, state.sat_a, state.sat_v)
     t = tables(mesh)
     w = t.face_w
     fluxes = np.zeros(mesh.n_faces)
 
     for grp in _groups(mesh).interior:
-        if len(grp.fids) == 0:
-            continue
         s1, s2 = coeffs.face[grp.key]
-        A1 = _diffusivity(s1.mid, "pressure")
-        A2 = _diffusivity(s2.mid, "pressure")
-        o1, o2 = _average_weights(A1, A2)
-        eta = harmonic_penalty(A1, A2)
-        al = _alpha_on(cfg.alpha_p, grp.fids)
+        o1, o2, penalty = _face_weights(s1, s2, "pressure", cfg.alpha_p, grp.fids)
 
         gn1 = p_new.coeffs[grp.k1] @ grp.gn1
         gn2 = p_new.coeffs[grp.k2] @ grp.gn2
         avg = (o1 * s1.mid.kappa)[:, None] * gn1 + (o2 * s2.mid.kappa)[:, None] * gn2
         jump_p = p_new.coeffs[grp.k1] @ grp.tr1 - p_new.coeffs[grp.k2] @ grp.tr2
-        fluxes[grp.fids] = -avg @ w + (al * eta / grp.h) * (jump_p @ w)
+        fluxes[grp.fids] = -avg @ w + (penalty / grp.h) * (jump_p @ w)
 
     for side in SIDE_NAMES:
         bg = _groups(mesh).boundary[side]
-        if len(bg.fids) == 0:
-            continue
         gn = (p_new.coeffs[bg.elems] @ t.trace_gx[bg.edge]) * bg.normal[0] \
             + (p_new.coeffs[bg.elems] @ t.trace_gy[bg.edge]) * bg.normal[1]
         fluxes[bg.fids] = -coeffs.kappa[bg.elems] * (gn @ w)

@@ -315,14 +315,6 @@ def l2_project(fn, mesh: Mesh, tag: str = "") -> DGField:
     return DGField(mesh, coeffs, tag)
 
 
-def _interior_groups(mesh: Mesh):
-    """Interior faces grouped by orientation with their side edge codes."""
-    return (
-        (mesh.interior_vertical, RIGHT, LEFT),
-        (mesh.interior_horizontal, TOP, BOTTOM),
-    )
-
-
 def broken_gradient_norm(field: DGField) -> float:
     """L2 norm of the elementwise gradient."""
     t = tables(field.mesh)
@@ -335,9 +327,8 @@ def jump_seminorm(field: DGField) -> float:
     t = tables(field.mesh)
     m = field.mesh
     total = 0.0
-    for fids, e1, e2 in _interior_groups(m):
-        if len(fids) == 0:
-            continue
+    for fids, e1, e2 in ((m.interior_vertical, RIGHT, LEFT),
+                         (m.interior_horizontal, TOP, BOTTOM)):
         tr1 = field.coeffs[m.face_k1[fids]] @ t.trace_phi[e1]
         tr2 = field.coeffs[m.face_k2[fids]] @ t.trace_phi[e2]
         d2 = (tr1 - tr2) ** 2

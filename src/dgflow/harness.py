@@ -68,6 +68,24 @@ class RunConfig:
                     parse_expression(text)
                 except ExpressionError as exc:
                     raise ConfigError(f"{name}: {exc}") from None
+        if not self.h0 > 0:
+            raise ConfigError(f"h0 must be positive, got {self.h0}")
+        try:
+            self.scheme()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        for level in range(self.levels):
+            try:
+                self.level(level)
+            except (ValueError, ArithmeticError) as exc:
+                raise ConfigError(f"ladder level {level}: {exc}") from None
+
+    def level(self, level: int) -> tuple[float, int, TimeConfig]:
+        """Mesh size ``h``, elements per side and time partition of one
+        ladder level."""
+        h = self.h0 / 2**level
+        tau = {"h": h, "h2": h * h, "fixed": self.tau}[self.tau_rule]
+        return h, max(1, round(1.0 / h)), TimeConfig.from_step(tau, self.t_final)
 
     def scheme(self) -> SchemeConfig:
         return SchemeConfig(theta_p=self.theta[0], theta_a=self.theta[1],
@@ -122,11 +140,8 @@ def convergence_study(config: RunConfig) -> ConvergenceReport:
     scheme = config.scheme()
     results = []
     for level in range(config.levels):
-        h = config.h0 / 2**level
-        nx = max(1, round(1.0 / h))
+        h, nx, time = config.level(level)
         mesh = build_uniform_mesh(nx, nx)
-        tau = {"h": h, "h2": h * h, "fixed": config.tau}[config.tau_rule]
-        time = TimeConfig.from_step(tau, config.t_final)
         try:
             _, err = solver.run(case, mesh, time, scheme)
         except solver.STEP_ERRORS as exc:

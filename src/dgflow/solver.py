@@ -69,7 +69,9 @@ class SingularSystemError(RuntimeError):
 
 
 class NonConvergenceError(RuntimeError):
-    """Iterative backend missed the requested tolerance."""
+    """An iterative solve missed the requested tolerance.  Nothing in the
+    package raises it now that every solve is direct; it stays in
+    :data:`STEP_ERRORS` because callers catch it by name."""
 
 
 #: errors that ``advance`` prefixes with the step and ``convergence_study``
@@ -117,11 +119,10 @@ class TimeConfig:
         return cls(tau, t_final, n)
 
 
-def solve_linear(system: LinearSystem, tolerance: float = SOLVER_TOL,
-                 method: str = "direct") -> np.ndarray:
+def solve_linear(system: LinearSystem, tolerance: float = SOLVER_TOL) -> np.ndarray:
     """Solve one constrained system to the requested relative residual.
 
-    The default backend is a direct sparse LU factorization (the systems
+    The solve is a direct sparse LU factorization (the systems
     are nonsymmetric for theta in {0, 1}).  Everything that depends only on
     the sparsity pattern is kept in a plan, built at the first solve on a
     pattern and reused by every later one (every system on a mesh shares
@@ -145,24 +146,8 @@ def solve_linear(system: LinearSystem, tolerance: float = SOLVER_TOL,
     A solve that builds the plan returns the same bits as one that reuses
     it, and the saturation solves that :func:`advance` hands to its helper
     process run this same code (:class:`_Factorization`).
-    ``method="iterative"`` runs ILU-preconditioned GMRES to the same
-    tolerance.
     """
-    if method == "direct":
-        return _Factorization(system.matrix).solve(system.rhs, tolerance)
-    if method == "iterative":
-        b = system.rhs
-        bound = tolerance * (1.0 + np.linalg.norm(b))
-        ilu = spla.spilu(system.matrix.tocsc(), drop_tol=1e-8, fill_factor=20)
-        prec = spla.LinearOperator(system.matrix.shape, ilu.solve)
-        x, info = spla.gmres(system.matrix, b, rtol=tolerance, atol=bound,
-                             M=prec, maxiter=2000)
-        res = np.linalg.norm(system.matrix @ x - b)
-        if info != 0 or res > bound:
-            raise NonConvergenceError(
-                f"gmres failed (info={info}, residual={res:.3e})")
-        return x
-    raise ValueError(f"unknown method {method!r}")
+    return _Factorization(system.matrix).solve(system.rhs, tolerance)
 
 
 #: factor plans, one per constrained sparsity pattern

@@ -12,7 +12,7 @@ from dgflow.assembly import (CoefficientBounds, ConflictingConstraintError,
                              assemble_vapor, check_coercivity_threshold,
                              dirichlet_constraints, harmonic_penalty,
                              pressure_form, reference_trace_constant,
-                             rt0_project, upwind_coefficients, upwind_value,
+                             rt0_project, upwind_value,
                              vapor_form)
 from dgflow.dg_core import DGField, evaluate, gauss_1d, jump, l2_project, tables
 from dgflow.manufactured import constant_densities_case, gravity_case
@@ -141,10 +141,16 @@ def test_vapor_patch_test(theta):
     assert np.max(np.abs(sol - expected.vector)) < 1e-10
 
 
-def test_pressure_patch_with_neumann_side():
+# (1, 3) and (3, 1) leave one interior face group empty
+NEUMANN_MESHES = pytest.mark.parametrize("shape", [(4, 4), (1, 3), (3, 1)],
+                                         ids=["4x4", "1x3", "3x1"])
+
+
+@NEUMANN_MESHES
+def test_pressure_patch_with_neumann_side(shape):
     # right side Neumann: the patch solution stays nodal-exact when the
     # prescribed flux matches the linear field's total flux
-    mesh = build_uniform_mesh(4, 4)
+    mesh = build_uniform_mesh(*shape)
     state = constant_state(mesh)
     lam_t = 0.75  # total mobility of the frozen (0.25, 0.25) state
     case = StubCase(pressure=LINEAR_P,
@@ -158,8 +164,9 @@ def test_pressure_patch_with_neumann_side():
     assert np.max(np.abs(sol - expected.vector)) < 1e-10
 
 
-def test_aqueous_patch_with_neumann_side():
-    mesh = build_uniform_mesh(4, 4)
+@NEUMANN_MESHES
+def test_aqueous_patch_with_neumann_side(shape):
+    mesh = build_uniform_mesh(*shape)
     state = constant_state(mesh)
     s = physics.clamp(0.25, 0.25)
     lam_a = float(physics.mobilities(s, FluidProperties()).lam_a)
@@ -419,8 +426,14 @@ def test_upwind_matches_bruteforce_on_run():
     velocity = rt0_project(p, state, mesh, NIPG, coeffs)
     g = case.fluids.gravity_vector
 
-    chosen = upwind_coefficients(mesh, coeffs, velocity, g,
-                                 case.fluids.rho_a, "a")
+    chosen = {}
+    for grp in assembly._groups(mesh).interior:
+        s1, s2 = coeffs.face[grp.key]
+        mask = assembly._group_upwind(grp, s1, s2, velocity, g, case.fluids.rho_a,
+                                      "lam_a")[0]
+        lam1, lam2 = s1.mid.mob.lam_a, s2.mid.mob.lam_a
+        chosen.update(zip(grp.fids, np.where(mask, lam1, lam2)))
+    assert sorted(chosen) == sorted(mesh.interior_faces)
     for fid in mesh.interior_faces:
         face = mesh.face(fid)
         sides = []
@@ -452,7 +465,10 @@ def test_identity_time_step_preserves_field():
     rng = np.random.default_rng(2)
     s_prev = DGField(mesh, rng.uniform(0.2, 0.4, size=(mesh.n_elements, 4)))
     phi_tau = 0.2 / 0.01
-    M = assembly._mass_matrix(mesh, phi_tau)
+    pattern = assembly._groups(mesh).pattern
+    data = np.zeros(pattern.nnz)
+    assembly._add_mass(data, mesh, phi_tau)
+    M = assembly._on_pattern(pattern, data)
     t = tables(mesh)
     rhs = phi_tau * np.einsum("jk,ek->ej", t.mass, s_prev.coeffs)
     from dgflow.assembly import LinearSystem

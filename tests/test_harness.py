@@ -165,6 +165,15 @@ def test_cli_bad_levels_exit_2():
     assert cli_main(["--case", "constant_densities", "--levels", "1"]) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["--theta", "2"], ["--alpha", "0"], ["--h0", "0"], ["--h0", "0.3"],
+    ["--tau-rule", "fixed", "--tau", "0.3"], ["--t-final", "-1"]])
+def test_cli_bad_numeric_input_exits_2(args, capsys):
+    # a scheme or ladder level that cannot be built is a configuration error
+    assert cli_main(["--levels", "2", *args]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_missing_config_file_exits_2():
     assert cli_main(["--config", "/nonexistent/path.cfg"]) == 2
 

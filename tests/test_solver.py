@@ -47,17 +47,6 @@ def test_solve_singular_raises():
         solve_linear(_system(np.zeros((2, 2)), [1.0, 1.0]))
 
 
-def test_iterative_backend_matches_direct():
-    mesh = build_uniform_mesh(4, 4)
-    state = constant_state(mesh)
-    from dgflow.assembly import assemble_pressure
-    case = StubCase(pressure=lambda t, x, y: 1.0 + x - 2 * y)
-    system = assemble_pressure(state, mesh, SchemeConfig(), case, 1.0)
-    direct = solve_linear(system)
-    iterative = solve_linear(system, method="iterative")
-    assert np.allclose(direct, iterative, atol=1e-9)
-
-
 # -- time configuration ----------------------------------------------------------
 
 def test_time_config_consistency():

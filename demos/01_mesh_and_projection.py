@@ -7,7 +7,7 @@ projection error and the DG norms behave under refinement.
 
 import numpy as np
 
-from dgflow import build_uniform_mesh, refine
+from dgflow import build_uniform_mesh
 from dgflow.dg_core import (DGField, coercivity_norm, jump, l2_error,
                             l2_project, star_norm)
 
@@ -29,7 +29,7 @@ for level in range(4):
     print(f"  h={m.dx:<8} error={l2_error(proj, f):.4e}  "
           f"|||.|||={coercivity_norm(proj):.4f}  "
           f"star={star_norm(proj):.4f}")
-    m = refine(m)
+    m = m.refine()
 
 # jumps of a projected (discontinuous) field across one face
 m = build_uniform_mesh(4, 4)

@@ -1,6 +1,6 @@
 """Interior-penalty DG solver for incompressible three-phase porous-media flow."""
 
-from .mesh import Mesh, Face, Element, build_uniform_mesh, refine
+from .mesh import Mesh, Face, Element, build_uniform_mesh
 from .dg_core import (DGField, QuadratureRule, jump, weighted_average,
                       l2_project, l2_error, coercivity_norm, star_norm)
 from .physics import (FluidProperties, SaturationPair, clamp, mobilities,

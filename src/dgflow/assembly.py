@@ -50,7 +50,7 @@ import scipy.linalg
 import scipy.sparse as sps
 
 from . import physics
-from .dg_core import DGField, EDGE_NODES, tables
+from .dg_core import DGField, EDGE_NODES, EDGE_NORMALS, tables
 from .mesh import Mesh, Face, LEFT, RIGHT, BOTTOM, TOP, SIDE_NAMES
 
 
@@ -60,6 +60,10 @@ class NonPositiveCoefficientError(RuntimeError):
 
 class ConflictingConstraintError(ValueError):
     """One DOF received two different prescribed boundary values."""
+
+
+#: the implicit equations by the suffix of their names (``theta_a``, ``sat_a``)
+EQUATIONS = {"p": "pressure", "a": "aqueous", "v": "vapor"}
 
 
 @dataclass(frozen=True)
@@ -81,12 +85,17 @@ class SchemeConfig:
     alpha_v: float | np.ndarray = 1.0
 
     def __post_init__(self):
-        for th in (self.theta_p, self.theta_a, self.theta_v):
-            if th not in (-1, 0, 1):
-                raise ValueError(f"theta must be -1, 0 or 1, got {th}")
-        for al in (self.alpha_p, self.alpha_a, self.alpha_v):
-            if np.any(np.asarray(al) <= 0):
+        for equation in EQUATIONS.values():
+            theta, alpha = self.variant(equation)
+            if theta not in (-1, 0, 1):
+                raise ValueError(f"theta must be -1, 0 or 1, got {theta}")
+            if np.any(np.asarray(alpha) <= 0):
                 raise ValueError("penalty constants must be positive")
+
+    def variant(self, equation: str):
+        """``(theta, alpha)`` of ``equation``: 'pressure', 'aqueous' or 'vapor'."""
+        key = equation[0]
+        return getattr(self, "theta_" + key), getattr(self, "alpha_" + key)
 
 
 @dataclass
@@ -134,11 +143,6 @@ def _average_weights(A1, A2):
 
 _group_cache: "weakref.WeakKeyDictionary[Mesh, SimpleNamespace]" = weakref.WeakKeyDictionary()
 
-_SIDE_NORMALS = {
-    "left": np.array([-1.0, 0.0]), "right": np.array([1.0, 0.0]),
-    "bottom": np.array([0.0, -1.0]), "top": np.array([0.0, 1.0]),
-}
-
 
 def _groups(mesh: Mesh) -> SimpleNamespace:
     """Interior faces grouped by orientation, boundary faces by side, the
@@ -185,7 +189,7 @@ def _groups(mesh: Mesh) -> SimpleNamespace:
                 + ref[None, :, :] * np.array([mesh.dx, mesh.dy]))
         boundary[side] = SimpleNamespace(
             side=side, fids=fids, elems=elems, edge=edge,
-            normal=_SIDE_NORMALS[side], h=mesh.face_length[fids],
+            normal=EDGE_NORMALS[edge], h=mesh.face_length[fids],
             # nodal DOFs on the side and their coordinates (Dirichlet data)
             dofs=(4 * elems[:, None] + loc[None, :]).ravel(),
             x=nodes[..., 0].ravel(), y=nodes[..., 1].ravel(),
@@ -396,26 +400,16 @@ def _diffusion_parts(mesh, coeffs, equation, alpha, theta):
     return data
 
 
-def _form_matrix(mesh, coeffs, equation, alpha, theta) -> sps.csr_matrix:
+def form_matrix(mesh, cfg: SchemeConfig, coeffs: LaggedCoefficients,
+                equation: str) -> sps.csr_matrix:
+    """Unconstrained matrix of the bilinear form of ``equation`` ('pressure',
+    'aqueous' or 'vapor'; the saturation forms exclude the mass term), with
+    the equation's theta and alpha from ``cfg``."""
+    theta, alpha = cfg.variant(equation)
     p = _groups(mesh).pattern
     parts = _diffusion_parts(mesh, coeffs, equation, alpha, theta)
     data = np.bincount(p.scatter, weights=np.concatenate(parts), minlength=p.nnz)
     return _on_pattern(p, data)
-
-
-def pressure_form(mesh, cfg: SchemeConfig, coeffs: LaggedCoefficients) -> sps.csr_matrix:
-    """Unconstrained matrix of the pressure bilinear form."""
-    return _form_matrix(mesh, coeffs, "pressure", cfg.alpha_p, cfg.theta_p)
-
-
-def aqueous_form(mesh, cfg: SchemeConfig, coeffs: LaggedCoefficients) -> sps.csr_matrix:
-    """Unconstrained matrix of the aqueous bilinear form (mass excluded)."""
-    return _form_matrix(mesh, coeffs, "aqueous", cfg.alpha_a, cfg.theta_a)
-
-
-def vapor_form(mesh, cfg: SchemeConfig, coeffs: LaggedCoefficients) -> sps.csr_matrix:
-    """Unconstrained matrix of the vapor bilinear form (mass excluded)."""
-    return _form_matrix(mesh, coeffs, "vapor", cfg.alpha_v, cfg.theta_v)
 
 
 # -- right-hand sides --------------------------------------------------------
@@ -442,17 +436,11 @@ def _face_load(rhs, grp, values):
 
 
 def _neumann_rhs(mesh, rhs, case, unknown, t_next):
-    sides = [s for s in SIDE_NAMES
-             if s not in case.dirichlet_sides[unknown]]
-    if not sides:
-        return
     t = tables(mesh)
-    jfn = getattr(case, "neumann_" + unknown)
-    for side in sides:
+    for side in (s for s in SIDE_NAMES if s not in case.dirichlet_sides[unknown]):
         bg = _groups(mesh).boundary[side]
-        jval = np.broadcast_to(
-            np.asarray(jfn(t_next, bg.qx, bg.qy, bg.normal), dtype=float),
-            bg.qx.shape)
+        jval = case.neumann(unknown, t_next, bg.qx, bg.qy, bg.normal)
+        jval = np.broadcast_to(np.asarray(jval, dtype=float), bg.qx.shape)
         np.add.at(rhs, t.elem_dofs[bg.elems], bg.h[:, None] * (jval @ bg.trw.T))
 
 
@@ -465,28 +453,22 @@ def _pressure_rhs(mesh, coeffs, case, t_next):
     # grad p_c by the chain rule on the lagged discrete saturations
     cap_v = _diffusivity(v, "vapor")
     cap_a = v.kappa * v.mob.lam_a * v.dpca
-    fx = (cap_v * coeffs.grad_sv[0] - cap_a * coeffs.grad_sa[0]
-          - v.kappa * v.mob.rho_lam_t * g[0])
-    fy = (cap_v * coeffs.grad_sv[1] - cap_a * coeffs.grad_sa[1]
-          - v.kappa * v.mob.rho_lam_t * g[1])
+    fx, fy = (cap_v * coeffs.grad_sv[i] - cap_a * coeffs.grad_sa[i]
+              - v.kappa * v.mob.rho_lam_t * g[i] for i in (0, 1))
     _flux_volume_rhs(mesh, rhs, fx, fy, sign=-1.0)
 
     for grp in _groups(mesh).interior:
         s1, s2 = coeffs.face[grp.key]
-        gn_sv1 = coeffs.sat_v_field.coeffs[grp.k1] @ grp.gn1
-        gn_sv2 = coeffs.sat_v_field.coeffs[grp.k2] @ grp.gn2
-        gn_sa1 = coeffs.sat_a_field.coeffs[grp.k1] @ grp.gn1
-        gn_sa2 = coeffs.sat_a_field.coeffs[grp.k2] @ grp.gn2
-
         m1, m2, q1, q2 = s1.mid, s2.mid, s1.q, s2.q
-        # vapor capillary average, weights from the kappa*lam_v midpoint traces
-        avg = _face_average(m1.kappa * m1.mob.lam_v, m2.kappa * m2.mob.lam_v,
-                            (q1.kappa, q1.mob.lam_v, q1.dpcv, gn_sv1),
-                            (q2.kappa, q2.mob.lam_v, q2.dpcv, gn_sv2))
-        # minus the aqueous capillary average (dpca carries its own sign)
-        avg -= _face_average(m1.kappa * m1.mob.lam_a, m2.kappa * m2.mob.lam_a,
-                             (q1.kappa, q1.mob.lam_a, q1.dpca, gn_sa1),
-                             (q2.kappa, q2.mob.lam_a, q2.dpca, gn_sa2))
+        # the vapor capillary average minus the aqueous one (dpca carries its
+        # own sign), each weighted by the kappa*lam midpoint traces of its phase
+        vapor, aqueous = (_face_average(
+            m1.kappa * getattr(m1.mob, lam), m2.kappa * getattr(m2.mob, lam),
+            (q1.kappa, getattr(q1.mob, lam), getattr(q1, dpc), sat[grp.k1] @ grp.gn1),
+            (q2.kappa, getattr(q2.mob, lam), getattr(q2, dpc), sat[grp.k2] @ grp.gn2))
+            for lam, dpc, sat in (("lam_v", "dpcv", coeffs.sat_v_field.coeffs),
+                                  ("lam_a", "dpca", coeffs.sat_a_field.coeffs)))
+        avg = vapor - aqueous
 
         # gravity average, weights from the kappa*(rho lam)_t midpoint traces
         gn_dot = g[0] * grp.normal[0] + g[1] * grp.normal[1]
@@ -523,8 +505,7 @@ def _saturation_rhs(mesh, coeffs, case, t_next, tau, velocity, phase, sat_prev,
     lam, rho = "lam_" + phase, getattr(fluids, "rho_" + phase)
     lam_q = getattr(coeffs.vol.mob, lam)
 
-    _load_rhs(mesh, rhs, case.source_aqueous if phase == "a" else case.source_vapor,
-              t_next)
+    _load_rhs(mesh, rhs, getattr(case, "source_" + EQUATIONS[phase]), t_next)
 
     # (phi/tau)(S^n, w)
     scaled = (fluids.porosity / tau) * np.einsum("jk,ek->ej", t.mass, sat_prev.coeffs)
@@ -664,23 +645,21 @@ def _dirichlet_plan(A: sps.csr_matrix, dofs: np.ndarray) -> SimpleNamespace:
 
 # -- the three assemblies ----------------------------------------------------
 
-def assemble_pressure(state, mesh, cfg, case, t_next,
-                      coeffs: LaggedCoefficients | None = None,
+def assemble_pressure(state, mesh, cfg, case, t_next, coeffs: LaggedCoefficients,
                       constrain: bool = True) -> LinearSystem:
     """Linear system of the implicit pressure solve at ``t_next``.
 
-    Coefficients come from the lagged ``state``; the load and the Dirichlet
-    data are evaluated at ``t_next``.
+    The load and the Dirichlet data are evaluated at ``t_next``.  ``state``
+    is not read (``coeffs`` holds the lagged closures); the public call
+    order passes it, positionally (so does the benchmark's replay).
     """
-    if coeffs is None:
-        coeffs = LaggedCoefficients(mesh, case.fluids, state.sat_a, state.sat_v)
-    return _system(pressure_form(mesh, cfg, coeffs),
+    return _system(form_matrix(mesh, cfg, coeffs, "pressure"),
                    _pressure_rhs(mesh, coeffs, case, t_next),
                    mesh, case, "pressure", t_next, constrain)
 
 
 def assemble_aqueous(state, p_new, velocity, mesh, cfg, case, tau, t_next,
-                     coeffs: LaggedCoefficients | None = None,
+                     coeffs: LaggedCoefficients,
                      constrain: bool = True) -> LinearSystem:
     """Linear system of the implicit aqueous-saturation solve."""
     return _assemble_saturation("a", state, p_new, velocity, mesh, cfg,
@@ -688,7 +667,7 @@ def assemble_aqueous(state, p_new, velocity, mesh, cfg, case, tau, t_next,
 
 
 def assemble_vapor(state, p_new, sa_new, velocity, mesh, cfg, case, tau, t_next,
-                   coeffs: LaggedCoefficients | None = None,
+                   coeffs: LaggedCoefficients,
                    constrain: bool = True) -> LinearSystem:
     """Linear system of the implicit vapor-saturation solve.
 
@@ -705,8 +684,6 @@ def assemble_vapor(state, p_new, sa_new, velocity, mesh, cfg, case, tau, t_next,
 
 def _assemble_saturation(phase, state, p_new, velocity, mesh, cfg, case, tau,
                          t_next, coeffs, constrain) -> LinearSystem:
-    if coeffs is None:
-        coeffs = LaggedCoefficients(mesh, case.fluids, state.sat_a, state.sat_v)
     return _system(_saturation_form(phase, mesh, cfg, case, tau, coeffs),
                    _saturation_rhs(mesh, coeffs, case, t_next, tau, velocity, phase,
                                    getattr(state, "sat_" + phase), p_new),
@@ -725,8 +702,7 @@ def _system(matrix, rhs, mesh, case, unknown, t_next, constrain) -> LinearSystem
 def _saturation_form(phase, mesh, cfg, case, tau, coeffs) -> sps.csr_matrix:
     """Bilinear form plus scaled mass of one saturation equation; ``phase``
     is 'a' or 'v'."""
-    form = aqueous_form if phase == "a" else vapor_form
-    matrix = form(mesh, cfg, coeffs)
+    matrix = form_matrix(mesh, cfg, coeffs, EQUATIONS[phase])
     _add_mass(matrix.data, mesh, case.fluids.porosity / tau)
     return matrix
 
@@ -761,11 +737,12 @@ def rt0_project(p_new: DGField, state, mesh, cfg,
     """
     t = tables(mesh)
     w = t.face_w
+    alpha = cfg.variant("pressure")[1]
     fluxes = np.zeros(mesh.n_faces)
 
     for grp in _groups(mesh).interior:
         s1, s2 = coeffs.face[grp.key]
-        o1, o2, penalty = _face_weights(s1, s2, "pressure", cfg.alpha_p, grp.fids)
+        o1, o2, penalty = _face_weights(s1, s2, "pressure", alpha, grp.fids)
 
         gn1 = p_new.coeffs[grp.k1] @ grp.gn1
         gn2 = p_new.coeffs[grp.k2] @ grp.gn2
@@ -820,8 +797,7 @@ def sample_coefficient_bounds(fluids: physics.FluidProperties,
         d = _diffusivity(c, equation)
         return (kap_lo * float(d.min()), kap_hi * float(d.max()))
 
-    return CoefficientBounds(pressure=bounds("pressure"), aqueous=bounds("aqueous"),
-                             vapor=bounds("vapor"))
+    return CoefficientBounds(*map(bounds, EQUATIONS.values()))
 
 
 def reference_trace_constant() -> float:
@@ -853,9 +829,8 @@ def check_coercivity_threshold(cfg: SchemeConfig,
     if c_tr is None:
         c_tr = reference_trace_constant()
     out = {}
-    for name, theta, alpha in (("pressure", cfg.theta_p, cfg.alpha_p),
-                               ("aqueous", cfg.theta_a, cfg.alpha_a),
-                               ("vapor", cfg.theta_v, cfg.alpha_v)):
+    for name in EQUATIONS.values():
+        theta, alpha = cfg.variant(name)
         lo, hi = getattr(bounds, name)
         thr = 0.25 * (1 - theta) ** 2 * (hi / lo) ** 3 * c_tr**2
         out[name] = thr

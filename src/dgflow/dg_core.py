@@ -184,13 +184,11 @@ class Q1Tables:
         dx, dy = mesh.dx, mesh.dy
 
         vol = gauss_2d(VOLUME_POINTS)
-        self.vol_rule = vol
         self.phi = basis_values(vol.points).T                 # (4, nq)
         gref = basis_gradients(vol.points)                    # (nq, 4, 2)
         self.gx = gref[:, :, 0].T / dx                        # (4, nq)
         self.gy = gref[:, :, 1].T / dy
         self.wdet = vol.weights * (dx * dy)                   # (nq,)
-        self.vol_points = vol.points                          # reference coords
 
         self.mass = np.einsum("iq,jq,q->ij", self.phi, self.phi, self.wdet)
 

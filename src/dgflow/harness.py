@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, replace
 
 from . import solver
 from .assembly import SchemeConfig
-from .manufactured import (ExpressionError, ManufacturedCase, case_by_name,
-                           parse_expression)
+from .manufactured import (UNKNOWNS, ExpressionError, ManufacturedCase,
+                           case_by_name, parse_expression)
 from .mesh import build_uniform_mesh
 from .physics import FluidProperties
 from .solver import TimeConfig
@@ -56,13 +56,12 @@ class RunConfig:
             raise ConfigError(f"unknown tau rule {self.tau_rule!r}")
         if self.tau_rule == "fixed" and not self.tau:
             raise ConfigError("tau_rule 'fixed' needs an explicit tau")
-        if self.fmt not in ("csv", "markdown"):
+        if self.fmt not in FORMATS:
             raise ConfigError(f"unknown format {self.fmt!r}")
-        if self.case == "custom" and not (
-                self.pressure_expr and self.sat_a_expr and self.sat_v_expr):
+        exprs = {u + "_expr": getattr(self, u + "_expr") for u in UNKNOWNS}
+        if self.case == "custom" and not all(exprs.values()):
             raise ConfigError("custom case needs pressure/sat_a/sat_v expressions")
-        for name in ("pressure_expr", "sat_a_expr", "sat_v_expr"):
-            text = getattr(self, name)
+        for name, text in exprs.items():
             if text is not None:
                 try:
                     parse_expression(text)
@@ -88,9 +87,8 @@ class RunConfig:
         return h, max(1, round(1.0 / h)), TimeConfig.from_step(tau, self.t_final)
 
     def scheme(self) -> SchemeConfig:
-        return SchemeConfig(theta_p=self.theta[0], theta_a=self.theta[1],
-                            theta_v=self.theta[2], alpha_p=self.alpha[0],
-                            alpha_a=self.alpha[1], alpha_v=self.alpha[2])
+        # SchemeConfig's fields: theta_p, theta_a, theta_v, alpha_p, alpha_a, alpha_v
+        return SchemeConfig(*self.theta, *self.alpha)
 
     def build_case(self) -> ManufacturedCase:
         if self.case == "custom":
@@ -102,6 +100,10 @@ class RunConfig:
             fluids = replace(case.fluids, gravity=tuple(self.gravity))
             case = ManufacturedCase(case.name, fluids)
         return case
+
+
+#: the unknowns' suffixes of ``LevelResult.err_*`` and ``ConvergenceReport.rates_*``
+_KEYS = ("p", "sa", "sv")
 
 
 @dataclass(frozen=True)
@@ -126,11 +128,10 @@ class ConvergenceReport:
     @classmethod
     def from_levels(cls, case: str, levels: list[LevelResult]) -> "ConvergenceReport":
         rep = cls(case, levels)
-        for get, rates in ((lambda r: r.err_p, rep.rates_p),
-                           (lambda r: r.err_sa, rep.rates_sa),
-                           (lambda r: r.err_sv, rep.rates_sv)):
-            for coarse, fine in zip(levels, levels[1:]):
-                rates.append(math.log2(get(coarse) / get(fine)))
+        for key in _KEYS:
+            errs = [getattr(lvl, "err_" + key) for lvl in levels]
+            getattr(rep, "rates_" + key).extend(
+                math.log2(coarse / fine) for coarse, fine in zip(errs, errs[1:]))
         return rep
 
 
@@ -154,14 +155,10 @@ def convergence_study(config: RunConfig) -> ConvergenceReport:
 
 def emit_report(report: ConvergenceReport, path: str, fmt: str = "csv") -> str:
     """Write the report to ``path`` as CSV or a markdown table."""
-    if fmt == "csv":
-        text = _to_csv(report)
-    elif fmt == "markdown":
-        text = _to_markdown(report)
-    else:
+    if fmt not in FORMATS:
         raise ConfigError(f"unknown format {fmt!r}")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(FORMATS[fmt][1](report))
     return path
 
 
@@ -169,18 +166,21 @@ def _fmt_err(e: float) -> str:
     return f"{e:.6e}"
 
 
+def _rows(report: ConvergenceReport, rate_format: str, no_rate: str):
+    """The cells of each level's row: h, DOFs, then each unknown's error and
+    its rate from the coarser level (``no_rate`` on the first row)."""
+    for i, lvl in enumerate(report.levels):
+        cells = [f"{lvl.h:.8g}", str(lvl.dofs)]
+        for key in _KEYS:
+            rates = getattr(report, "rates_" + key)
+            cells += [_fmt_err(getattr(lvl, "err_" + key)),
+                      format(rates[i - 1], rate_format) if i else no_rate]
+        yield cells
+
+
 def _to_csv(report: ConvergenceReport) -> str:
     lines = ["h,dofs,err_p,rate_p,err_sa,rate_sa,err_sv,rate_sv"]
-    for i, lvl in enumerate(report.levels):
-        rates = ("", "", "") if i == 0 else tuple(
-            f"{r[i - 1]:.4f}" for r in (report.rates_p, report.rates_sa,
-                                        report.rates_sv))
-        lines.append(",".join([
-            f"{lvl.h:.8g}", str(lvl.dofs),
-            _fmt_err(lvl.err_p), rates[0],
-            _fmt_err(lvl.err_sa), rates[1],
-            _fmt_err(lvl.err_sv), rates[2],
-        ]))
+    lines += [",".join(cells) for cells in _rows(report, ".4f", "")]
     return "\n".join(lines) + "\n"
 
 
@@ -188,34 +188,26 @@ def _to_markdown(report: ConvergenceReport) -> str:
     head = ("| h | DOFs | pressure error | rate | aqueous error | rate "
             "| vapor error | rate |")
     sep = "|---" * 8 + "|"
-    lines = [head, sep]
-    for i, lvl in enumerate(report.levels):
-        rates = ("-", "-", "-") if i == 0 else tuple(
-            f"{r[i - 1]:.2f}" for r in (report.rates_p, report.rates_sa,
-                                        report.rates_sv))
-        lines.append(
-            f"| {lvl.h:.8g} | {lvl.dofs} "
-            f"| {_fmt_err(lvl.err_p)} | {rates[0]} "
-            f"| {_fmt_err(lvl.err_sa)} | {rates[1]} "
-            f"| {_fmt_err(lvl.err_sv)} | {rates[2]} |")
+    lines = [head, sep] + [f"| {' | '.join(cells)} |"
+                           for cells in _rows(report, ".2f", "-")]
     return "\n".join(lines) + "\n"
+
+
+#: report formats: the default file suffix and the writer
+FORMATS = {"csv": ("csv", _to_csv), "markdown": ("md", _to_markdown)}
 
 
 # -- CLI ----------------------------------------------------------------------
 
-def _parse_triple(text, kind):
+def _parse_values(text, kind, n):
+    """``n`` comma-separated values of ``kind``; one value stands for all
+    of a triple."""
     parts = [kind(p) for p in str(text).split(",")]
-    if len(parts) == 1:
+    if n == 3 and len(parts) == 1:
         parts = parts * 3
-    if len(parts) != 3:
-        raise ConfigError(f"expected one or three comma-separated values, got {text!r}")
-    return tuple(parts)
-
-
-def _parse_pair(text):
-    parts = [float(p) for p in str(text).split(",")]
-    if len(parts) != 2:
-        raise ConfigError(f"expected two comma-separated values, got {text!r}")
+    if len(parts) != n:
+        counts = "one or three" if n == 3 else "two"
+        raise ConfigError(f"expected {counts} comma-separated values, got {text!r}")
     return tuple(parts)
 
 
@@ -234,58 +226,43 @@ def read_config_file(path: str) -> dict:
     return out
 
 
+#: every study option: the :class:`RunConfig` field, the converter of its
+#: flag or config-file text, and the choices the flag lists.  The flag is
+#: the field with '-' for '_' (``fmt`` is ``--format``, and ``format`` in a
+#: config file).
+_OPTIONS = {
+    "case": (str, KNOWN_CASES), "levels": (int, None), "h0": (float, None),
+    "tau_rule": (str, TAU_RULES), "tau": (float, None), "t_final": (float, None),
+    "theta": (lambda v: _parse_values(v, int, 3), None),
+    "alpha": (lambda v: _parse_values(v, float, 3), None),
+    "gravity": (lambda v: _parse_values(v, float, 2), None), "out": (str, None),
+    "fmt": (str, tuple(FORMATS)), "pressure_expr": (str, None),
+    "sat_a_expr": (str, None), "sat_v_expr": (str, None),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="dgflow",
         description="Run a mesh/time refinement study for the three-phase "
                     "DG scheme and emit the error table.")
-    p.add_argument("--case", choices=KNOWN_CASES)
-    p.add_argument("--levels", type=int)
-    p.add_argument("--h0", type=float)
-    p.add_argument("--tau-rule", choices=TAU_RULES)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--t-final", type=float)
-    p.add_argument("--theta")
-    p.add_argument("--alpha")
-    p.add_argument("--gravity")
-    p.add_argument("--out")
-    p.add_argument("--format", dest="fmt", choices=("csv", "markdown"))
-    p.add_argument("--pressure-expr")
-    p.add_argument("--sat-a-expr")
-    p.add_argument("--sat-v-expr")
+    for key, (_, choices) in _OPTIONS.items():
+        flag = "format" if key == "fmt" else key.replace("_", "-")
+        p.add_argument("--" + flag, dest=key, choices=choices)
     p.add_argument("--config", help="flat key=value file; flags override")
     return p
 
 
 def _config_from_args(args) -> RunConfig:
-    raw = {}
-    if args.config:
-        raw.update(read_config_file(args.config))
-    for key in ("case", "levels", "h0", "tau_rule", "tau", "t_final", "theta",
-                "alpha", "gravity", "out", "fmt", "pressure_expr",
-                "sat_a_expr", "sat_v_expr"):
-        val = getattr(args, key)
-        if val is not None:
-            raw[key] = val
+    raw = read_config_file(args.config) if args.config else {}
+    raw.update((key, getattr(args, key)) for key in _OPTIONS
+               if getattr(args, key) is not None)
     kwargs = {}
     for key, val in raw.items():
-        if key == "format":
-            key = "fmt"
-        if key in ("levels",):
-            kwargs[key] = int(val)
-        elif key in ("h0", "tau", "t_final"):
-            kwargs[key] = float(val)
-        elif key == "theta":
-            kwargs[key] = _parse_triple(val, int)
-        elif key == "alpha":
-            kwargs[key] = _parse_triple(val, float)
-        elif key == "gravity":
-            kwargs[key] = _parse_pair(val)
-        elif key in ("case", "tau_rule", "out", "fmt", "pressure_expr",
-                     "sat_a_expr", "sat_v_expr"):
-            kwargs[key] = str(val)
-        else:
+        key = "fmt" if key == "format" else key
+        if key not in _OPTIONS:
             raise ConfigError(f"unknown configuration key {key!r}")
+        kwargs[key] = _OPTIONS[key][0](val)
     return RunConfig(**kwargs)
 
 
@@ -307,7 +284,7 @@ def cli_main(argv=None) -> int:
     except solver.STEP_ERRORS as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
-    out = config.out or f"{config.case}_{config.tau_rule}.{'md' if config.fmt == 'markdown' else 'csv'}"
+    out = config.out or f"{config.case}_{config.tau_rule}.{FORMATS[config.fmt][0]}"
     emit_report(report, out, config.fmt)
     last = (report.rates_p[-1], report.rates_sa[-1], report.rates_sv[-1])
     print(f"wrote {out}; finest-pair rates: pressure {last[0]:.2f}, "

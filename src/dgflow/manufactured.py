@@ -11,6 +11,8 @@ finite-difference oracle in the test suite guards the algebra.
 from __future__ import annotations
 
 import ast
+import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -22,6 +24,9 @@ from .physics import FluidProperties, PCA_SCALE, PCV_SCALE
 _T, _X, _Y = sp.symbols("t x y", real=True)
 
 ALL_SIDES = ("left", "right", "bottom", "top")
+
+#: the unknowns of the scheme, in solve order
+UNKNOWNS = ("pressure", "sat_a", "sat_v")
 
 #: default exact fields for the verification scenarios
 PRESSURE_EXPR = "2 + x*y**2 + x**2*sin(t + y)"
@@ -37,6 +42,12 @@ _FUNCTIONS = frozenset({"sin", "cos", "exp", "log", "sqrt"})
 _NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Load, ast.Add, ast.Sub,
           ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub)
 
+#: the float64 counterparts of the whitelisted functions and operators
+_FLOAT_OPS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
+              "sqrt": math.sqrt, ast.Add: operator.add, ast.Sub: operator.sub,
+              ast.Mult: operator.mul, ast.Div: operator.truediv, ast.Pow: math.pow,
+              ast.UAdd: operator.pos, ast.USub: operator.neg}
+
 
 class ExpressionError(ValueError):
     """A field expression given as text is not allowed or cannot be evaluated."""
@@ -49,8 +60,10 @@ def parse_expression(text: str) -> sp.Expr:
     operators ``+ - * / **``, unary signs and one-argument calls of ``sin
     cos exp log sqrt``.  This is checked on the Python syntax tree before
     sympy sees the text, because sympy's parser evaluates what it is
-    given.  Anything else, or text sympy cannot evaluate (a division by a
-    literal ``0.0``), raises :class:`ExpressionError`.
+    given.  So is the size of every constant part (:func:`_check_constants`),
+    because sympy evaluates it exactly, without a bound.  Anything else, a
+    constant part out of float64 range, or text sympy cannot evaluate (a
+    division by a literal ``0.0``) raises :class:`ExpressionError`.
     """
     try:
         tree = ast.parse(text, mode="eval")
@@ -73,10 +86,47 @@ def parse_expression(text: str) -> sp.Expr:
             raise ExpressionError(
                 f"{what!r} is not allowed in {text!r}; use t, x, y, pi, numbers, "
                 f"+ - * / ** and one-argument {', '.join(sorted(_FUNCTIONS))}")
+    _check_constants(tree, text)
     try:
         return sp.sympify(text, locals=_SYMBOLS)
     except (sp.SympifyError, ArithmeticError) as exc:
         raise ExpressionError(f"cannot evaluate {text!r}: {exc!r}") from None
+
+
+def _check_constants(tree: ast.Expression, text: str) -> None:
+    """Evaluate every constant subtree of a whitelisted ``tree`` in float64,
+    children first, and raise :class:`ExpressionError` where one leaves the
+    float64 range (``exp(exp(1e6))``, ``9**9**9``, ``(1/3)**10**9``).  A
+    subtree of t, x or y, or one with no real float64 value (``log(0)``,
+    ``sqrt(-1)``), is left to sympy."""
+    value = {}   # id(node) -> float64 value of each constant subtree
+    for node in reversed(list(ast.walk(tree))):   # children before parents
+        if isinstance(node, ast.Constant):
+            fn, args = float, [node.value]
+        elif isinstance(node, ast.Name):
+            fn, args = float, [math.pi if node.id == "pi" else None]
+        elif isinstance(node, ast.Call):
+            fn, args = _FLOAT_OPS[node.func.id], [value.get(id(a)) for a in node.args]
+        elif isinstance(node, ast.BinOp):
+            fn = _FLOAT_OPS[type(node.op)]
+            args = [value.get(id(node.left)), value.get(id(node.right))]
+        elif isinstance(node, ast.UnaryOp):
+            fn, args = _FLOAT_OPS[type(node.op)], [value.get(id(node.operand))]
+        else:
+            continue
+        if None in args:
+            continue
+        try:
+            result = fn(*args)
+        except (ValueError, ZeroDivisionError):
+            continue
+        except OverflowError:
+            result = math.inf
+        # sympy keeps the power of a nonzero base that underflows here exactly
+        if not math.isfinite(result) or (fn is math.pow and result == 0.0 and args[0]):
+            raise ExpressionError(f"{ast.unparse(node)!r} is out of float64 range "
+                                  f"in {text!r}")
+        value[id(node)] = result
 
 
 def _as_expr(expr):
@@ -139,8 +189,7 @@ class ManufacturedCase:
     dirichlet_sides : dict, optional
         Per-unknown Dirichlet boundary sides, keys ``pressure`` /
         ``sat_a`` / ``sat_v``; every side defaults to Dirichlet.
-        Non-Dirichlet sides are Neumann and served by the ``neumann_*``
-        flux providers.
+        Non-Dirichlet sides are Neumann and served by :meth:`neumann`.
     """
 
     def __init__(self, name: str, fluids: FluidProperties,
@@ -150,31 +199,20 @@ class ManufacturedCase:
             raise ValueError("manufactured cases need a scalar permeability")
         self.name = name
         self.fluids = fluids
-        sides = dict(dirichlet_sides or {})
-        self.dirichlet_sides = {
-            "pressure": tuple(sides.get("pressure", ALL_SIDES)),
-            "sat_a": tuple(sides.get("sat_a", ALL_SIDES)),
-            "sat_v": tuple(sides.get("sat_v", ALL_SIDES)),
-        }
+        sides = dirichlet_sides or {}
+        self.dirichlet_sides = {u: tuple(sides.get(u, ALL_SIDES)) for u in UNKNOWNS}
 
-        p = _as_expr(pressure)
-        sa = _as_expr(sat_a)
-        sv = _as_expr(sat_v)
-        self._exprs = (p, sa, sv)
+        self._exprs = tuple(_as_expr(e) for e in (pressure, sat_a, sat_v))
 
-        # what a time step evaluates is built here; the rest on first use
-        self.pressure = _lambdify(p)
-        self.sat_a = _lambdify(sa)
-        self.sat_v = _lambdify(sv)
-        self._sources, self._fluxes = self._expand(p, sa, sv)
-        self.source_total = _lambdify(self._sources["total"])
-        self.source_aqueous = _lambdify(self._sources["aqueous"])
-        self.source_vapor = _lambdify(self._sources["vapor"])
-
-        # Dirichlet data are the exact traces.
-        self.boundary_pressure = self.pressure
-        self.boundary_sat_a = self.sat_a
-        self.boundary_sat_v = self.sat_v
+        # what a time step evaluates is built here, the rest on first use:
+        # each exact field, which is also its Dirichlet data, and the sources
+        for unknown, expr in zip(UNKNOWNS, self._exprs):
+            setattr(self, unknown, _lambdify(expr))
+            setattr(self, "boundary_" + unknown, getattr(self, unknown))
+        self._sources, self._fluxes = self._expand(*self._exprs)
+        self._flux = {}   # unknown -> lambdified flux, built on first use
+        for name in ("total", "aqueous", "vapor"):
+            setattr(self, "source_" + name, _lambdify(self._sources[name]))
 
     def _expand(self, p, sa, sv):
         """Symbolic phase sources and Neumann fluxes of the exact fields."""
@@ -207,74 +245,36 @@ class ManufacturedCase:
         rho_lam_t = sum(rho[j] * lam[j] for j in ("l", "v", "a"))
         dpca_dsa = PCA_SCALE / (sa + sp.Float(0.01))
         dpcv_dsv = -PCV_SCALE / (sp.Float(1.01) - sv)
-        fluxes = {
-            "pressure": tuple(
-                kappa * lam_t * sp.diff(p, z) + kappa * lam["v"] * sp.diff(p_cv, z)
-                - kappa * lam["a"] * sp.diff(p_ca, z) - kappa * rho_lam_t * g
-                for z, g in ((_X, gx), (_Y, gy))),
-            "sat_a": tuple(
-                -kappa * lam["a"] * dpca_dsa * sp.diff(sa, z)
-                + kappa * lam["a"] * sp.diff(p, z) - rho["a"] * kappa * lam["a"] * g
-                for z, g in ((_X, gx), (_Y, gy))),
-            "sat_v": tuple(
-                kappa * lam["v"] * dpcv_dsv * sp.diff(sv, z)
-                + kappa * lam["v"] * sp.diff(p, z) - rho["v"] * kappa * lam["v"] * g
-                for z, g in ((_X, gx), (_Y, gy))),
-        }
+        fluxes = {"pressure": tuple(
+            kappa * lam_t * sp.diff(p, z) + kappa * lam["v"] * sp.diff(p_cv, z)
+            - kappa * lam["a"] * sp.diff(p_ca, z) - kappa * rho_lam_t * g
+            for z, g in ((_X, gx), (_Y, gy)))}
+        # the capillary pressure enters the aqueous phase pressure with a minus
+        for j, sign, dpc_ds in (("a", -1, dpca_dsa), ("v", 1, dpcv_dsv)):
+            fluxes["sat_" + j] = tuple(
+                sign * kappa * lam[j] * dpc_ds * sp.diff(s_of[j], z)
+                + kappa * lam[j] * sp.diff(p, z) - rho[j] * kappa * lam[j] * g
+                for z, g in ((_X, gx), (_Y, gy)))
         return sources, fluxes
 
     # -- built on first use: a time step never calls these -----------------
 
-    @cached_property
-    def pressure_grad(self):
-        return _lambdify_vec(*(sp.diff(self._exprs[0], z) for z in (_X, _Y)))
+    def _gradient(self, i):
+        return _lambdify_vec(*(sp.diff(self._exprs[i], z) for z in (_X, _Y)))
 
-    @cached_property
-    def sat_a_grad(self):
-        return _lambdify_vec(*(sp.diff(self._exprs[1], z) for z in (_X, _Y)))
-
-    @cached_property
-    def sat_v_grad(self):
-        return _lambdify_vec(*(sp.diff(self._exprs[2], z) for z in (_X, _Y)))
-
-    @cached_property
-    def sat_a_dt(self):
-        return _lambdify(sp.diff(self._exprs[1], _T))
-
-    @cached_property
-    def sat_v_dt(self):
-        return _lambdify(sp.diff(self._exprs[2], _T))
-
-    @cached_property
-    def source_liquid(self):
-        return _lambdify(self._sources["liquid"])
-
-    @cached_property
-    def _flux_p(self):
-        return _lambdify_vec(*self._fluxes["pressure"])
-
-    @cached_property
-    def _flux_sa(self):
-        return _lambdify_vec(*self._fluxes["sat_a"])
-
-    @cached_property
-    def _flux_sv(self):
-        return _lambdify_vec(*self._fluxes["sat_v"])
+    pressure_grad = cached_property(lambda self: self._gradient(0))
+    sat_a_grad = cached_property(lambda self: self._gradient(1))
+    sat_v_grad = cached_property(lambda self: self._gradient(2))
+    sat_a_dt = cached_property(lambda self: _lambdify(sp.diff(self._exprs[1], _T)))
+    sat_v_dt = cached_property(lambda self: _lambdify(sp.diff(self._exprs[2], _T)))
+    source_liquid = cached_property(lambda self: _lambdify(self._sources["liquid"]))
 
     # -- spec-level conveniences ------------------------------------------
 
     def exact_solution(self, t, x, y) -> ExactState:
         """Exact values with gradients and saturation time derivatives."""
-        return ExactState(
-            p=self.pressure(t, x, y),
-            s_a=self.sat_a(t, x, y),
-            s_v=self.sat_v(t, x, y),
-            grad_p=self.pressure_grad(t, x, y),
-            grad_s_a=self.sat_a_grad(t, x, y),
-            grad_s_v=self.sat_v_grad(t, x, y),
-            ds_a_dt=self.sat_a_dt(t, x, y),
-            ds_v_dt=self.sat_v_dt(t, x, y),
-        )
+        fns = [getattr(self, u + suffix) for suffix in ("", "_grad") for u in UNKNOWNS]
+        return ExactState(*(fn(t, x, y) for fn in fns + [self.sat_a_dt, self.sat_v_dt]))
 
     def source_terms(self, t, x, y):
         """Phase sources (q_l, q_v, q_a) matching the exact fields."""
@@ -282,16 +282,12 @@ class ManufacturedCase:
                 self.source_vapor(t, x, y),
                 self.source_aqueous(t, x, y))
 
-    def neumann_pressure(self, t, x, y, normal):
-        F = self._flux_p(t, x, y)
-        return F[0] * normal[0] + F[1] * normal[1]
-
-    def neumann_sat_a(self, t, x, y, normal):
-        F = self._flux_sa(t, x, y)
-        return F[0] * normal[0] + F[1] * normal[1]
-
-    def neumann_sat_v(self, t, x, y, normal):
-        F = self._flux_sv(t, x, y)
+    def neumann(self, unknown, t, x, y, normal):
+        """Exact normal flux ``F . normal`` of ``unknown`` ('pressure',
+        'sat_a' or 'sat_v'), the Neumann data of its non-Dirichlet sides."""
+        if unknown not in self._flux:
+            self._flux[unknown] = _lambdify_vec(*self._fluxes[unknown])
+        F = self._flux[unknown](t, x, y)
         return F[0] * normal[0] + F[1] * normal[1]
 
     def __repr__(self):

@@ -232,8 +232,3 @@ def build_uniform_mesh(nx: int, ny: int, domain=(0.0, 0.0, 1.0, 1.0)) -> Mesh:
         Rectangle ``(x0, y0, x1, y1)``.
     """
     return Mesh(nx, ny, domain)
-
-
-def refine(mesh: Mesh) -> Mesh:
-    """Return the uniformly refined mesh (nx, ny doubled)."""
-    return mesh.refine()

@@ -45,6 +45,7 @@ solutions come back.
 from __future__ import annotations
 
 import atexit
+import functools
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -61,6 +62,7 @@ from . import assembly
 from .assembly import (LaggedCoefficients, LinearSystem, NonPositiveCoefficientError,
                        SchemeConfig)
 from .dg_core import DGField, coercivity_norm, l2_error, l2_project
+from .manufactured import UNKNOWNS
 from .mesh import Mesh
 
 
@@ -438,9 +440,9 @@ class _SaturationSolves:
 
     def solve(self, phase: str, p_new: DGField, velocity) -> DGField:
         state = self.state
-        sat_prev = state.sat_a if phase == "a" else state.sat_v
         rhs = assembly._saturation_rhs(state.mesh, self.coeffs, self.case, self.t_next,
-                                       self.tau, velocity, phase, sat_prev, p_new)
+                                       self.tau, velocity, phase,
+                                       getattr(state, "sat_" + phase), p_new)
         if self.helper is None:
             matrix, lift = self._matrix(phase)
             x = _Factorization(matrix).solve(lift(rhs))
@@ -455,12 +457,8 @@ class _SaturationSolves:
 
 def initialize(case, mesh: Mesh) -> PhaseState:
     """Starting state: elementwise L2 projections of the exact fields at t=0."""
-    return PhaseState(
-        pressure=l2_project(lambda x, y: case.pressure(0.0, x, y), mesh, "pressure"),
-        sat_a=l2_project(lambda x, y: case.sat_a(0.0, x, y), mesh, "sat_a"),
-        sat_v=l2_project(lambda x, y: case.sat_v(0.0, x, y), mesh, "sat_v"),
-        step=0, time=0.0,
-    )
+    return PhaseState(*(l2_project(functools.partial(getattr(case, u), 0.0), mesh, u)
+                        for u in UNKNOWNS), step=0, time=0.0)
 
 
 def advance(state: PhaseState, tau: float, cfg: SchemeConfig, case) -> PhaseState:
@@ -518,28 +516,17 @@ def run(case, mesh: Mesh, time: TimeConfig, cfg: SchemeConfig):
         in_bounds = in_bounds and _saturations_in_bounds(state)
 
     t_end = state.time
-    proj_p = l2_project(lambda x, y: case.pressure(t_end, x, y), mesh)
-    proj_a = l2_project(lambda x, y: case.sat_a(t_end, x, y), mesh)
-    proj_v = l2_project(lambda x, y: case.sat_v(t_end, x, y), mesh)
-    report = ErrorReport(
-        h=mesh.dx,
-        dofs=4 * mesh.n_elements,
-        l2_pressure=l2_error(state.pressure, case.pressure, t_end),
-        l2_sat_a=l2_error(state.sat_a, case.sat_a, t_end),
-        l2_sat_v=l2_error(state.sat_v, case.sat_v, t_end),
-        energy_pressure=coercivity_norm(
-            DGField(mesh, state.pressure.coeffs - proj_p.coeffs)),
-        energy_sat_a=coercivity_norm(
-            DGField(mesh, state.sat_a.coeffs - proj_a.coeffs)),
-        energy_sat_v=coercivity_norm(
-            DGField(mesh, state.sat_v.coeffs - proj_v.coeffs)),
-        saturations_in_bounds=in_bounds,
-    )
-    return state, report
+    errors = {}
+    for u in UNKNOWNS:
+        exact, field = getattr(case, u), getattr(state, u)
+        proj = l2_project(functools.partial(exact, t_end), mesh)
+        errors["l2_" + u] = l2_error(field, exact, t_end)
+        errors["energy_" + u] = coercivity_norm(DGField(mesh, field.coeffs - proj.coeffs))
+    return state, ErrorReport(h=mesh.dx, dofs=4 * mesh.n_elements,
+                              saturations_in_bounds=in_bounds, **errors)
 
 
 def _saturations_in_bounds(state: PhaseState) -> bool:
     # bilinear extrema sit at the corner nodes, so nodal bounds suffice
-    return bool(
-        state.sat_a.coeffs.min() > 0.0 and state.sat_a.coeffs.max() < 1.0
-        and state.sat_v.coeffs.min() > 0.0 and state.sat_v.coeffs.max() < 1.0)
+    return all(s.coeffs.min() > 0.0 and s.coeffs.max() < 1.0
+               for s in (state.sat_a, state.sat_v))

@@ -14,17 +14,17 @@ import pytest
 from dgflow import assembly, dg_core, physics
 from dgflow.assembly import (LaggedCoefficients, RTField, SchemeConfig,
                              assemble_aqueous, assemble_pressure,
-                             assemble_vapor, dirichlet_constraints,
-                             harmonic_penalty, pressure_form, aqueous_form,
-                             vapor_form, reference_trace_constant, rt0_project)
-from dgflow.dg_core import DGField, evaluate, gauss_1d, jump
+                             assemble_vapor, dirichlet_constraints, form_matrix,
+                             reference_trace_constant, rt0_project)
+from dgflow.dg_core import DGField, gauss_1d
 from dgflow.harness import RunConfig, convergence_study
 from dgflow.manufactured import constant_densities_case, gravity_case
 from dgflow.mesh import build_uniform_mesh
 from dgflow.physics import FluidProperties
 from dgflow.solver import initialize, run, solve_linear, TimeConfig
 
-from helpers import StubCase, constant_state, nodal_interpolant
+from helpers import (StubCase, constant_state, lagged_coefficients, nodal_interpolant,
+                     rt_moments_oracle)
 
 # verification anchors: h -> (pressure, aqueous, vapor) reference errors
 REF_FIRST_ORDER = {0.25: (3.18e-2, 7.41e-3, 5.84e-2), 0.125: (1.14e-2, 4.67e-3, 9.64e-3),
@@ -152,20 +152,21 @@ def test_criterion_4_patch_tests():
         mesh = build_uniform_mesh(4, 4)
         state = constant_state(mesh)
         for unknown, fn in linear.items():
+            case = StubCase(**{unknown: fn})
+            coeffs = lagged_coefficients(state, case)
             if unknown == "pressure":
                 cfg = SchemeConfig(theta_p=theta, alpha_p=alpha)
-                system = assemble_pressure(state, mesh, cfg,
-                                           StubCase(pressure=fn), 1.0)
+                system = assemble_pressure(state, mesh, cfg, case, 1.0, coeffs)
             elif unknown == "sat_a":
                 cfg = SchemeConfig(theta_a=theta, alpha_a=alpha)
                 system = assemble_aqueous(state, state.pressure,
                                           RTField.zeros(mesh), mesh, cfg,
-                                          StubCase(sat_a=fn), 1e15, 1.0)
+                                          case, 1e15, 1.0, coeffs)
             else:
                 cfg = SchemeConfig(theta_v=theta, alpha_v=alpha)
                 system = assemble_vapor(state, state.pressure, None,
                                         RTField.zeros(mesh), mesh, cfg,
-                                        StubCase(sat_v=fn), 1e15, 1.0)
+                                        case, 1e15, 1.0, coeffs)
             sol = solve_linear(system)
             exact = nodal_interpolant(mesh, lambda x, y: fn(1.0, x, y))
             worst = max(worst, float(np.max(np.abs(sol - exact.vector))))
@@ -187,7 +188,7 @@ def _rt_conservation_violation(mesh, case, cfg, steps=2):
         system = assemble_pressure(state, mesh, cfg, case, t_next, coeffs)
         p = DGField.from_vector(mesh, solve_linear(system), "pressure")
         u = rt0_project(p, state, mesh, cfg, coeffs)
-        moments = _independent_rt_moments(mesh, p, coeffs, cfg, rule)
+        moments = rt_moments_oracle(mesh, p, coeffs, cfg, rule)
         signed_flux = (u.fluxes[mesh.elem_to_faces]
                        * mesh.face_length[mesh.elem_to_faces]
                        * mesh.elem_face_sign).sum(axis=1)
@@ -196,49 +197,6 @@ def _rt_conservation_violation(mesh, case, cfg, steps=2):
         worst = max(worst, float(np.abs(signed_flux - signed_moment).max()))
         state = advance(state, 0.25, cfg, case)
     return worst
-
-
-def _independent_rt_moments(mesh, p, coeffs, cfg, rule):
-    out = np.zeros(mesh.n_faces)
-    kappa = coeffs.kappa
-    for fid in range(mesh.n_faces):
-        face = mesh.face(fid)
-        n = face.normal
-        vertical = n[0] != 0.0
-        if face.kind == "boundary":
-            pick = 1.0 if (n[0] + n[1]) > 0 else 0.0
-            pts = [(pick, s) for s in rule.points] if vertical \
-                else [(s, pick) for s in rule.points]
-            total = 0.0
-            for (xi, eta), w in zip(pts, rule.weights):
-                _, grads = dg_core.eval_basis(mesh.element(face.k1), (xi, eta))
-                g = p.coeffs[face.k1] @ grads
-                total += w * (-kappa[face.k1] * (g @ n))
-            out[fid] = total * face.length
-            continue
-        sides = []
-        for elem, x0 in ((face.k1, 1.0), (face.k2, 0.0)):
-            mid = (x0, 0.5) if vertical else (0.5, x0)
-            sa = evaluate(coeffs.sat_a_field, elem, mid)
-            sv = evaluate(coeffs.sat_v_field, elem, mid)
-            s = physics.clamp(sa, sv)
-            sides.append(float(physics.mobilities(s, coeffs.fluids).lam_t)
-                         * kappa[elem])
-        A1, A2 = sides
-        eta = harmonic_penalty(A1, A2)
-        total = 0.0
-        for s, w in zip(rule.points, rule.weights):
-            pts = [(1.0, s), (0.0, s)] if vertical else [(s, 1.0), (s, 0.0)]
-            _, g1b = dg_core.eval_basis(mesh.element(face.k1), pts[0])
-            _, g2b = dg_core.eval_basis(mesh.element(face.k2), pts[1])
-            g1 = p.coeffs[face.k1] @ g1b
-            g2 = p.coeffs[face.k2] @ g2b
-            avg = dg_core.weighted_average(kappa[face.k1] * (g1 @ n),
-                                           kappa[face.k2] * (g2 @ n), A1, A2)
-            total += w * (-avg + np.asarray(cfg.alpha_p) * eta / face.length
-                          * jump(p, face, s))
-        out[fid] = total * face.length
-    return out
 
 
 def test_criterion_5_rt_conservation():
@@ -318,8 +276,8 @@ def test_criterion_7_coercivity_suite():
 
     nipg = SchemeConfig()
     failures = 0
-    for form in (pressure_form, aqueous_form, vapor_form):
-        B = form(mesh, nipg, coeffs)
+    for equation in ("pressure", "aqueous", "vapor"):
+        B = form_matrix(mesh, nipg, coeffs, equation)
         for _ in range(50):
             w = rng.normal(size=B.shape[0])
             w[dofs] = 0.0
@@ -334,7 +292,7 @@ def test_criterion_7_coercivity_suite():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         weak = SchemeConfig(theta_p=0, alpha_p=1e-8)
-        B = pressure_form(mesh, weak, coeffs)
+        B = form_matrix(mesh, weak, coeffs, "pressure")
     bad = sum(
         1 for _ in range(50)
         if (lambda w: w @ (B @ w))(

@@ -8,19 +8,17 @@ from dgflow import assembly, dg_core, physics
 from dgflow.assembly import (CoefficientBounds, ConflictingConstraintError,
                              LaggedCoefficients, NonPositiveCoefficientError,
                              RTField, SchemeConfig, apply_dirichlet,
-                             aqueous_form, assemble_aqueous, assemble_pressure,
+                             assemble_aqueous, assemble_pressure,
                              assemble_vapor, check_coercivity_threshold,
-                             dirichlet_constraints, harmonic_penalty,
-                             pressure_form, reference_trace_constant,
-                             rt0_project, upwind_value,
-                             vapor_form)
-from dgflow.dg_core import DGField, evaluate, gauss_1d, jump, l2_project, tables
+                             dirichlet_constraints, form_matrix, harmonic_penalty,
+                             reference_trace_constant, rt0_project, upwind_value)
+from dgflow.dg_core import DGField, evaluate, tables
 from dgflow.manufactured import constant_densities_case, gravity_case
 from dgflow.mesh import build_uniform_mesh
 from dgflow.physics import FluidProperties
 from dgflow.solver import PhaseState, initialize, solve_linear
 
-from helpers import StubCase, constant_state, nodal_interpolant
+from helpers import StubCase, constant_state, nodal_interpolant, rt_moments_oracle
 
 
 LINEAR_P = lambda t, x, y: 1.0 + x + y
@@ -58,9 +56,9 @@ def test_vanishing_vapor_diffusivity_raises(monkeypatch):
     monkeypatch.setattr(physics, "mobilities", no_vapor)
     mesh = build_uniform_mesh(4, 4)
     coeffs = make_coeffs(mesh, constant_state(mesh))
-    aqueous_form(mesh, NIPG, coeffs)
+    form_matrix(mesh, NIPG, coeffs, "aqueous")
     with pytest.raises(NonPositiveCoefficientError, match="non-positive vapor"):
-        vapor_form(mesh, NIPG, coeffs)
+        form_matrix(mesh, NIPG, coeffs, "vapor")
 
 
 def test_vapor_system_does_not_read_sat_a():
@@ -107,7 +105,8 @@ def test_pressure_patch_test(theta):
     state = constant_state(mesh)
     case = StubCase(pressure=LINEAR_P)
     cfg = SchemeConfig(theta_p=theta, alpha_p=_patch_alpha(theta))
-    system = assemble_pressure(state, mesh, cfg, case, t_next=1.0)
+    system = assemble_pressure(state, mesh, cfg, case, t_next=1.0,
+                               coeffs=make_coeffs(mesh, state, case.fluids))
     sol = solve_linear(system)
     expected = nodal_interpolant(mesh, lambda x, y: LINEAR_P(1.0, x, y))
     assert np.max(np.abs(sol - expected.vector)) < 1e-10
@@ -121,7 +120,8 @@ def test_aqueous_patch_test(theta):
     case = StubCase(sat_a=linear_sa)
     cfg = SchemeConfig(theta_a=theta, alpha_a=_patch_alpha(theta))
     system = assemble_aqueous(state, state.pressure, RTField.zeros(mesh), mesh,
-                              cfg, case, tau=1e15, t_next=1.0)
+                              cfg, case, tau=1e15, t_next=1.0,
+                              coeffs=make_coeffs(mesh, state, case.fluids))
     sol = solve_linear(system)
     expected = nodal_interpolant(mesh, lambda x, y: linear_sa(1.0, x, y))
     assert np.max(np.abs(sol - expected.vector)) < 1e-10
@@ -135,7 +135,8 @@ def test_vapor_patch_test(theta):
     case = StubCase(sat_v=linear_sv)
     cfg = SchemeConfig(theta_v=theta, alpha_v=_patch_alpha(theta))
     system = assemble_vapor(state, state.pressure, None, RTField.zeros(mesh), mesh,
-                            cfg, case, tau=1e15, t_next=1.0)
+                            cfg, case, tau=1e15, t_next=1.0,
+                            coeffs=make_coeffs(mesh, state, case.fluids))
     sol = solve_linear(system)
     expected = nodal_interpolant(mesh, lambda x, y: linear_sv(1.0, x, y))
     assert np.max(np.abs(sol - expected.vector)) < 1e-10
@@ -153,12 +154,14 @@ def test_pressure_patch_with_neumann_side(shape):
     mesh = build_uniform_mesh(*shape)
     state = constant_state(mesh)
     lam_t = 0.75  # total mobility of the frozen (0.25, 0.25) state
-    case = StubCase(pressure=LINEAR_P,
-                    dirichlet_sides={"pressure": ("left", "bottom", "top")})
-    case.neumann_pressure = lambda t, x, y, n: np.broadcast_to(
+    flux = lambda t, x, y, n: np.broadcast_to(
         lam_t * (n[0] + n[1]),
         np.broadcast_shapes(np.shape(x), np.shape(y))).copy()
-    system = assemble_pressure(state, mesh, NIPG, case, 1.0)
+    case = StubCase(pressure=LINEAR_P,
+                    dirichlet_sides={"pressure": ("left", "bottom", "top")},
+                    neumann={"pressure": flux})
+    system = assemble_pressure(state, mesh, NIPG, case, 1.0,
+                               make_coeffs(mesh, state, case.fluids))
     sol = solve_linear(system)
     expected = nodal_interpolant(mesh, lambda x, y: LINEAR_P(1.0, x, y))
     assert np.max(np.abs(sol - expected.vector)) < 1e-10
@@ -174,13 +177,15 @@ def test_aqueous_patch_with_neumann_side(shape):
     diff = lam_a * dpca_plus
     grad = (0.05, 0.1)
     linear_sa = lambda t, x, y: 0.2 + grad[0] * x + grad[1] * y
-    case = StubCase(sat_a=linear_sa,
-                    dirichlet_sides={"sat_a": ("left", "right", "bottom")})
-    case.neumann_sat_a = lambda t, x, y, n: np.broadcast_to(
+    flux = lambda t, x, y, n: np.broadcast_to(
         diff * (grad[0] * n[0] + grad[1] * n[1]),
         np.broadcast_shapes(np.shape(x), np.shape(y))).copy()
+    case = StubCase(sat_a=linear_sa,
+                    dirichlet_sides={"sat_a": ("left", "right", "bottom")},
+                    neumann={"sat_a": flux})
     system = assemble_aqueous(state, state.pressure, RTField.zeros(mesh), mesh,
-                              NIPG, case, tau=1e15, t_next=1.0)
+                              NIPG, case, tau=1e15, t_next=1.0,
+                              coeffs=make_coeffs(mesh, state, case.fluids))
     sol = solve_linear(system)
     expected = nodal_interpolant(mesh, lambda x, y: linear_sa(1.0, x, y))
     assert np.max(np.abs(sol - expected.vector)) < 1e-10
@@ -191,7 +196,7 @@ def test_sipg_matrix_symmetry():
     state = constant_state(mesh, sa=0.3, sv=0.2)
     coeffs = make_coeffs(mesh, state)
     cfg = SchemeConfig(theta_p=-1, alpha_p=10.0)
-    B = pressure_form(mesh, cfg, coeffs)
+    B = form_matrix(mesh, cfg, coeffs, "pressure")
     asym = np.abs((B - B.T).toarray()).max()
     assert asym < 1e-12
 
@@ -201,7 +206,7 @@ def test_nonuniform_state_sipg_still_symmetric():
     case = constant_densities_case()
     state = initialize(case, mesh)
     coeffs = make_coeffs(mesh, state)
-    B = pressure_form(mesh, SchemeConfig(theta_p=-1, alpha_p=10.0), coeffs)
+    B = form_matrix(mesh, SchemeConfig(theta_p=-1, alpha_p=10.0), coeffs, "pressure")
     assert np.abs((B - B.T).toarray()).max() < 1e-12
 
 
@@ -214,11 +219,12 @@ def sample_state():
     return mesh, case, initialize(case, mesh)
 
 
-@pytest.mark.parametrize("form", [pressure_form, aqueous_form, vapor_form])
-def test_quadratic_form_positivity_nipg(sample_state, form):
+@pytest.mark.parametrize("equation", ["pressure", "aqueous", "vapor"],
+                         ids=lambda equation: equation + "_form")
+def test_quadratic_form_positivity_nipg(sample_state, equation):
     mesh, case, state = sample_state
     coeffs = make_coeffs(mesh, state)
-    B = form(mesh, NIPG, coeffs)
+    B = form_matrix(mesh, NIPG, coeffs, equation)
     dofs, _ = dirichlet_constraints(mesh, case, "pressure", 0.0)
     rng = np.random.default_rng(17)
     for _ in range(50):
@@ -232,7 +238,7 @@ def test_quadratic_form_can_fail_below_threshold(sample_state):
     mesh, case, state = sample_state
     coeffs = make_coeffs(mesh, state)
     cfg = SchemeConfig(theta_p=0, alpha_p=1e-8)
-    B = pressure_form(mesh, cfg, coeffs)
+    B = form_matrix(mesh, cfg, coeffs, "pressure")
     dofs, _ = dirichlet_constraints(mesh, case, "pressure", 0.0)
     rng = np.random.default_rng(4)
     bad = 0
@@ -250,7 +256,7 @@ def test_boundedness_constant_stable_under_refinement():
 
     def fitted_constant(mesh):
         state = initialize(case, mesh)
-        B = pressure_form(mesh, NIPG, make_coeffs(mesh, state))
+        B = form_matrix(mesh, NIPG, make_coeffs(mesh, state), "pressure")
         c = 0.0
         for _ in range(30):
             v = DGField(mesh, rng.normal(size=(mesh.n_elements, 4)))
@@ -293,70 +299,6 @@ def test_rt0_jump_term_hand_value():
     assert velocity.fluxes[fid] == pytest.approx(expected, rel=1e-12)
 
 
-def _rt_moments_oracle(mesh, p, coeffs, cfg):
-    """Independent recomputation of the projection moments, one face at a
-    time with the generic trace operators."""
-    rule = gauss_1d(3)
-    out = np.zeros(mesh.n_faces)
-    kappa = coeffs.kappa
-    for fid in range(mesh.n_faces):
-        face = mesh.face(fid)
-        n = face.normal
-        if face.kind == "boundary":
-            vals = []
-            for s in rule.points:
-                _, grads = _trace_gradient(mesh, p, face, s)
-                vals.append(-kappa[face.k1] * (grads[0] @ n))
-            out[fid] = np.dot(rule.weights, vals) * face.length
-            continue
-        lam1, lam2 = _midpoint_lambda_t(mesh, coeffs, face)
-        A1, A2 = kappa[face.k1] * lam1, kappa[face.k2] * lam2
-        eta = harmonic_penalty(A1, A2)
-        term = 0.0
-        for s, w in zip(rule.points, rule.weights):
-            g1, g2 = _trace_gradient(mesh, p, face, s)[1]
-            avg = dg_core.weighted_average(kappa[face.k1] * (g1 @ n),
-                                           kappa[face.k2] * (g2 @ n), A1, A2)
-            term += w * (-avg + cfg.alpha_p * eta / face.length
-                         * jump(p, face, s))
-        out[fid] = term * face.length
-    return out
-
-
-def _trace_gradient(mesh, field, face, s):
-    from dgflow.mesh import LEFT, RIGHT, BOTTOM, TOP
-    vertical = face.normal[0] != 0.0
-    if vertical:
-        pts = [(1.0, s), (0.0, s)]
-        edges = (RIGHT, LEFT)
-    else:
-        pts = [(s, 1.0), (s, 0.0)]
-        edges = (TOP, BOTTOM)
-    if face.k2 is None:
-        pick = 0 if (face.normal[0] + face.normal[1]) > 0 else 1
-        el = mesh.element(face.k1)
-        vals, grads = dg_core.eval_basis(el, pts[pick])
-        g = field.coeffs[face.k1] @ grads
-        return None, (g, None)
-    el1, el2 = mesh.element(face.k1), mesh.element(face.k2)
-    _, gb1 = dg_core.eval_basis(el1, pts[0])
-    _, gb2 = dg_core.eval_basis(el2, pts[1])
-    return None, (field.coeffs[face.k1] @ gb1, field.coeffs[face.k2] @ gb2)
-
-
-def _midpoint_lambda_t(mesh, coeffs, face):
-    out = []
-    for elem, pt in ((face.k1, None), (face.k2, None)):
-        vertical = face.normal[0] != 0.0
-        mid = ((1.0, 0.5) if elem == face.k1 else (0.0, 0.5)) if vertical \
-            else ((0.5, 1.0) if elem == face.k1 else (0.5, 0.0))
-        sa = evaluate(coeffs.sat_a_field, elem, mid)
-        sv = evaluate(coeffs.sat_v_field, elem, mid)
-        s = physics.clamp(sa, sv)
-        out.append(float(physics.mobilities(s, coeffs.fluids).lam_t))
-    return out
-
-
 def test_rt0_moments_match_independent_oracle():
     mesh = build_uniform_mesh(3, 3)
     case = constant_densities_case()
@@ -365,7 +307,7 @@ def test_rt0_moments_match_independent_oracle():
     system = assemble_pressure(state, mesh, NIPG, case, t_next=0.25, coeffs=coeffs)
     p = DGField.from_vector(mesh, solve_linear(system), "pressure")
     velocity = rt0_project(p, state, mesh, NIPG, coeffs)
-    oracle = _rt_moments_oracle(mesh, p, coeffs, NIPG)
+    oracle = rt_moments_oracle(mesh, p, coeffs, NIPG)
     assert np.allclose(velocity.fluxes * mesh.face_length, oracle, atol=1e-12)
 
 
@@ -373,9 +315,10 @@ def test_rt0_divergence_free_on_patch_solve():
     mesh = build_uniform_mesh(4, 4)
     state = constant_state(mesh)
     case = StubCase(pressure=LINEAR_P)
-    system = assemble_pressure(state, mesh, NIPG, case, t_next=1.0)
+    coeffs = make_coeffs(mesh, state, case.fluids)
+    system = assemble_pressure(state, mesh, NIPG, case, t_next=1.0, coeffs=coeffs)
     p = DGField.from_vector(mesh, solve_linear(system), "pressure")
-    velocity = rt0_project(p, state, mesh, NIPG, make_coeffs(mesh, state))
+    velocity = rt0_project(p, state, mesh, NIPG, coeffs)
     signed = (velocity.fluxes[mesh.elem_to_faces]
               * mesh.face_length[mesh.elem_to_faces]
               * mesh.elem_face_sign)
@@ -487,8 +430,8 @@ def test_aqueous_vapor_swap_identical_matrices():
     state = constant_state(mesh, sa=0.62, sv=0.62)
     coeffs = LaggedCoefficients(mesh, fluids, state.sat_a, state.sat_v)
     cfg = SchemeConfig(theta_a=1, theta_v=1, alpha_a=2.0, alpha_v=2.0)
-    Ba = aqueous_form(mesh, cfg, coeffs).toarray()
-    Bv = vapor_form(mesh, cfg, coeffs).toarray()
+    Ba = form_matrix(mesh, cfg, coeffs, "aqueous").toarray()
+    Bv = form_matrix(mesh, cfg, coeffs, "vapor").toarray()
     assert np.allclose(Ba, Bv, rtol=1e-13, atol=1e-14)
 
 
@@ -558,7 +501,8 @@ def test_constrained_rows_solve_exactly():
     mesh = build_uniform_mesh(3, 3)
     state = constant_state(mesh)
     case = StubCase(pressure=LINEAR_P)
-    system = assemble_pressure(state, mesh, NIPG, case, t_next=0.5)
+    system = assemble_pressure(state, mesh, NIPG, case, t_next=0.5,
+                               coeffs=make_coeffs(mesh, state, case.fluids))
     sol = solve_linear(system)
     resid = system.matrix @ sol - system.rhs
     assert np.max(np.abs(resid[system.constrained_dofs])) == 0.0

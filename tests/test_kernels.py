@@ -88,7 +88,6 @@ def ref_face_load(rhs, grp, values):
 
 def ref_neumann_rhs(mesh, rhs, case, unknown, t_next):
     t = tables(mesh)
-    jfn = getattr(case, "neumann_" + unknown)
     s_param = t.face_rule.points
     for side in (s for s in ("left", "right", "bottom", "top")
                  if s not in case.dirichlet_sides[unknown]):
@@ -102,7 +101,8 @@ def ref_neumann_rhs(mesh, rhs, case, unknown, t_next):
         pts = (mesh.elem_origin[bg.elems][:, None, :]
                + ref[None, :, :] * np.array([mesh.dx, mesh.dy]))
         jval = np.broadcast_to(
-            np.asarray(jfn(t_next, pts[:, :, 0], pts[:, :, 1], bg.normal), dtype=float),
+            np.asarray(case.neumann(unknown, t_next, pts[:, :, 0], pts[:, :, 1], bg.normal),
+                       dtype=float),
             pts.shape[:2])
         contrib = bg.h[:, None] * np.einsum("nq,jq,q->nj", jval, t.trace_phi[bg.edge],
                                             t.face_w)

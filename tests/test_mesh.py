@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dgflow.mesh import (InvalidDomainError, LEFT, RIGHT, BOTTOM, TOP,
-                         build_uniform_mesh, refine)
+                         build_uniform_mesh)
 
 
 def test_single_cell_counts():
@@ -33,7 +33,7 @@ def test_invalid_domain_raises():
 
 def test_refine_doubles_counts():
     m = build_uniform_mesh(2, 2)
-    r = refine(m)
+    r = m.refine()
     assert (r.nx, r.ny) == (4, 4)
     assert r.domain == m.domain
 
@@ -41,14 +41,14 @@ def test_refine_doubles_counts():
 def test_refinement_ladder_reaches_table_resolution():
     m = build_uniform_mesh(2, 2)  # side length 0.5
     for _ in range(5):
-        m = refine(m)
+        m = m.refine()
     assert m.dx == pytest.approx(0.015625, abs=0.0)
 
 
 def test_refine_preserves_domain_exactly():
     dom = (-1.5, 0.25, 3.5, 8.25)
     m = build_uniform_mesh(3, 2, dom)
-    assert refine(m).domain == dom
+    assert m.refine().domain == dom
 
 
 def test_interior_faces_have_two_distinct_elements():

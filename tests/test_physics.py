@@ -332,10 +332,10 @@ def test_neumann_fluxes_against_directional_fd():
     case = gravity_case()
     t, x, y = 0.4, 1.0, 0.6
     n = (1.0, 0.0)
-    val = case.neumann_pressure(t, x, y, n)
+    val = case.neumann("pressure", t, x, y, n)
     assert np.isfinite(val)
     # aqueous flux on the top side with exact data
-    val_a = case.neumann_sat_a(t, 0.5, 1.0, (0.0, 1.0))
+    val_a = case.neumann("sat_a", t, 0.5, 1.0, (0.0, 1.0))
     f = case.fluids
     s = physics.SaturationPair(np.asarray(case.sat_a(t, 0.5, 1.0)),
                                np.asarray(case.sat_v(t, 0.5, 1.0)))

@@ -11,7 +11,8 @@ from dgflow.physics import FluidProperties
 from dgflow.solver import (NonConvergenceError, PhaseState, SingularSystemError,
                            TimeConfig, advance, initialize, run, solve_linear)
 
-from helpers import StubCase, constant_state, nodal_interpolant, zero_mobilities
+from helpers import (StubCase, constant_state, lagged_coefficients, nodal_interpolant,
+                     zero_mobilities)
 
 
 def _system(matrix, rhs):
@@ -36,7 +37,8 @@ def test_solve_residual_oracle():
     state = constant_state(mesh)
     from dgflow.assembly import assemble_pressure
     case = StubCase(pressure=lambda t, x, y: 1.0 + x + y)
-    system = assemble_pressure(state, mesh, SchemeConfig(), case, 1.0)
+    system = assemble_pressure(state, mesh, SchemeConfig(), case, 1.0,
+                               lagged_coefficients(state, case))
     x = solve_linear(system)
     res = np.linalg.norm(system.matrix @ x - system.rhs)
     assert res <= 1e-11 * (1.0 + np.linalg.norm(system.rhs))
@@ -173,9 +175,9 @@ def test_solver_error_carries_step_index():
     # incompatible data: nonzero total source with zero Neumann flux
     bad = StubCase(dirichlet_sides={"pressure": ()},
                    q_total=lambda t, x, y: np.ones(
-                       np.broadcast_shapes(np.shape(x), np.shape(y))))
-    bad.neumann_pressure = lambda t, x, y, n: np.zeros(
-        np.broadcast_shapes(np.shape(x), np.shape(y)))
+                       np.broadcast_shapes(np.shape(x), np.shape(y))),
+                   neumann={"pressure": lambda t, x, y, n: np.zeros(
+                       np.broadcast_shapes(np.shape(x), np.shape(y)))})
     with pytest.raises((SingularSystemError, NonConvergenceError)) as err:
         advance(state, 0.25, SchemeConfig(), bad)
     assert "step 0 -> 1" in str(err.value)
@@ -249,8 +251,9 @@ def _splu_calls(monkeypatch):
 def test_dg_system_factors_in_single_precision_only(monkeypatch):
     mesh = build_uniform_mesh(4, 4)
     from dgflow.assembly import assemble_pressure
-    system = assemble_pressure(constant_state(mesh), mesh, SchemeConfig(),
-                               StubCase(pressure=lambda t, x, y: 1.0 + x - 2 * y), 1.0)
+    state, case = constant_state(mesh), StubCase(pressure=lambda t, x, y: 1.0 + x - 2 * y)
+    system = assemble_pressure(state, mesh, SchemeConfig(), case, 1.0,
+                               lagged_coefficients(state, case))
     _clear_plans()
     calls = _splu_calls(monkeypatch)
     x = solve_linear(system)
@@ -293,8 +296,9 @@ def test_duplicate_entries_are_summed_before_factoring():
 def test_plan_reorders_for_minimum_degree_fill():
     mesh = build_uniform_mesh(8, 8)
     from dgflow.assembly import assemble_pressure
-    A = assemble_pressure(constant_state(mesh), mesh, SchemeConfig(),
-                          StubCase(pressure=lambda t, x, y: 1.0 + x - 2 * y), 1.0).matrix
+    state, case = constant_state(mesh), StubCase(pressure=lambda t, x, y: 1.0 + x - 2 * y)
+    A = assemble_pressure(state, mesh, SchemeConfig(), case, 1.0,
+                          lagged_coefficients(state, case)).matrix
     plan = solver._factor_plan(A)
     permuted = A[plan.order][:, plan.order].tocsc()
     gathered = sps.csc_matrix((A.data[plan.gather], plan.indices, plan.indptr),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Mesh, Element, Face, LEFT, RIGHT, BOTTOM, TOP
+from .mesh import Mesh, Face, LEFT, RIGHT, BOTTOM, TOP
 
 # Local nodes of each element edge, matching the node order
 # (0,0), (1,0), (0,1), (1,1) of the reference square.
@@ -61,22 +61,6 @@ def basis_gradients(points) -> np.ndarray:
     dxi = np.stack([-(1 - eta), (1 - eta), -eta, eta], axis=-1)
     deta = np.stack([-(1 - xi), -xi, (1 - xi), xi], axis=-1)
     return np.stack([dxi, deta], axis=-1)
-
-
-def eval_basis(element: Element, reference_point):
-    """Basis values and physical gradients of one element at a reference point.
-
-    Returns ``(values, gradients)`` with shapes (4,) and (4, 2); the
-    gradients are mapped through the (diagonal) affine cell map.
-    """
-    pt = np.asarray(reference_point, dtype=float)
-    vals = basis_values(pt)
-    grads = basis_gradients(pt).copy()
-    dx = element.vertices[1, 0] - element.vertices[0, 0]
-    dy = element.vertices[2, 1] - element.vertices[0, 1]
-    grads[..., 0] /= dx
-    grads[..., 1] /= dy
-    return vals, grads
 
 
 # -- quadrature --------------------------------------------------------------
@@ -154,19 +138,6 @@ def evaluate(field: DGField, elem_ids, ref_points) -> np.ndarray:
     """
     vals = basis_values(ref_points)
     return np.einsum("...j,...j->...", field.coeffs[elem_ids], vals)
-
-
-def evaluate_at(field: DGField, x, y) -> np.ndarray:
-    """Evaluate at physical points, locating elements by lattice index."""
-    m = field.mesh
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    i = np.clip(((x - m.domain[0]) / m.dx).astype(int), 0, m.nx - 1)
-    j = np.clip(((y - m.domain[1]) / m.dy).astype(int), 0, m.ny - 1)
-    eid = j * m.nx + i
-    ref = np.stack([(x - m.domain[0]) / m.dx - i, (y - m.domain[1]) / m.dy - j],
-                   axis=-1)
-    return evaluate(field, eid, ref)
 
 
 # -- per-mesh tables ---------------------------------------------------------
@@ -371,9 +342,3 @@ def l2_error(field: DGField, exact, time: float | None = None) -> float:
     ex = np.broadcast_to(np.asarray(ex, dtype=float), xq.shape)
     diff = field.coeffs @ t.err_phi - ex
     return float(np.sqrt(np.einsum("eq,q->", diff**2, t.err_wdet)))
-
-
-def l2_norm(field: DGField) -> float:
-    t = tables(field.mesh)
-    vals = field.coeffs @ t.phi
-    return float(np.sqrt(np.einsum("eq,q->", vals**2, t.wdet)))

@@ -281,6 +281,9 @@ def cli_main(argv=None) -> int:
         return 2
     try:
         report = convergence_study(config)
+    except ExpressionError as exc:   # a field or derivative the case build rejects
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except solver.STEP_ERRORS as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1

@@ -1,11 +1,13 @@
 """Manufactured flow scenarios: exact fields, matching sources, boundary data.
 
 A :class:`ManufacturedCase` is built from closed-form expressions for the
-liquid pressure and the two saturations.  The source term of each phase is
-expanded symbolically from the mass-conservation divergence form with the
-package's closure laws, then lambdified to fast numpy callables, so the
-discrete error is free of differentiation noise.  An independent
-finite-difference oracle in the test suite guards the algebra.
+liquid pressure and the two saturations.  sympy differentiates only these
+fields (first and second space derivatives, the saturations' time
+derivatives) into one lambdified numpy function of "atoms".  Each phase
+source and Neumann flux is composed from the atoms by the chain rule with
+the closure laws of :mod:`physics` and their analytic derivatives, so the
+sources are exact and the closure laws are written once.  An independent
+symbolic expansion and a finite-difference oracle in the tests guard this.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ import ast
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import sympy as sp
 
-from .physics import FluidProperties, PCA_SCALE, PCV_SCALE
+from .physics import (FluidProperties, SaturationPair, capillary_derivatives,
+                      mobilities, mobility_partials)
 
 _T, _X, _Y = sp.symbols("t x y", real=True)
 
@@ -138,26 +141,25 @@ def _as_expr(expr):
     return e.subs(rebind) if rebind else e
 
 
-def _lambdify(expr):
-    # common subexpressions once: the sources repeat the closures many times
-    fn = sp.lambdify((_T, _X, _Y), expr, modules="numpy", cse=True)
-
-    def wrapped(t, x, y):
-        shape = np.broadcast_shapes(np.shape(t), np.shape(x), np.shape(y))
-        out = np.empty(shape, dtype=float)
-        out[...] = fn(t, x, y)
-        return float(out) if out.ndim == 0 else out
-
-    return wrapped
+def _full(value, t, x, y):
+    """``value`` broadcast to the shape of the arguments (a float if 0-d)."""
+    out = np.empty(np.broadcast_shapes(np.shape(t), np.shape(x), np.shape(y)))
+    out[...] = value
+    return float(out) if out.ndim == 0 else out
 
 
-def _lambdify_vec(expr_x, expr_y):
-    fx, fy = _lambdify(expr_x), _lambdify(expr_y)
+#: numpy code of expressions in (t, x, y), common subexpressions computed once
+_lambdify = partial(sp.lambdify, (_T, _X, _Y), modules="numpy", cse=True)
 
-    def wrapped(t, x, y):
-        return np.stack([np.asarray(fx(t, x, y)), np.asarray(fy(t, x, y))], axis=0)
 
-    return wrapped
+def _check_real(exprs, labels):
+    """Raise :class:`ExpressionError` naming the first of ``exprs`` with a
+    constant that is not finite and real (``I``, ``zoo``, ``(-1)**(1/3)``)."""
+    for expr, label in zip(exprs, labels):
+        for node in sp.preorder_traversal(expr):
+            if node.is_number and (node is sp.nan or node.is_extended_real is False
+                                   or node.is_finite is False):
+                raise ExpressionError(f"{label} = {expr} is not real-valued ({node})")
 
 
 @dataclass(frozen=True)
@@ -183,9 +185,10 @@ class ManufacturedCase:
         Scenario label used by the study harness.
     fluids : FluidProperties
         Constant fluid/rock data including the gravity vector; the
-        permeability must be a scalar for symbolic source expansion.
+        permeability must be a scalar.
     pressure, sat_a, sat_v : str or sympy expression
-        Closed-form exact fields in the symbols ``t, x, y``.
+        Closed-form exact fields in the symbols ``t, x, y``; each field and
+        each derivative the sources need must be real-valued.
     dirichlet_sides : dict, optional
         Per-unknown Dirichlet boundary sides, keys ``pressure`` /
         ``sat_a`` / ``sat_v``; every side defaults to Dirichlet.
@@ -199,75 +202,97 @@ class ManufacturedCase:
             raise ValueError("manufactured cases need a scalar permeability")
         self.name = name
         self.fluids = fluids
+        self._kappa = float(np.asarray(fluids.permeability))
         sides = dirichlet_sides or {}
         self.dirichlet_sides = {u: tuple(sides.get(u, ALL_SIDES)) for u in UNKNOWNS}
 
-        self._exprs = tuple(_as_expr(e) for e in (pressure, sat_a, sat_v))
+        # atoms: value, d/dx, d/dy, d2/dx2, d2/dy2 of each field, d/dt s_a, d/dt s_v
+        atoms, labels = [], []
+        for unknown, text in zip(UNKNOWNS, (pressure, sat_a, sat_v)):
+            e = _as_expr(text)
+            dx, dy = sp.diff(e, _X), sp.diff(e, _Y)
+            atoms += [e, dx, dy, sp.diff(dx, _X), sp.diff(dy, _Y)]
+            labels += [f"{d}{unknown}" for d in ("", "d/dx ", "d/dy ", "d2/dx2 ", "d2/dy2 ")]
+        atoms += [sp.diff(atoms[5], _T), sp.diff(atoms[10], _T)]
+        _check_real(atoms, labels + ["d/dt sat_a", "d/dt sat_v"])
 
         # what a time step evaluates is built here, the rest on first use:
         # each exact field, which is also its Dirichlet data, and the sources
-        for unknown, expr in zip(UNKNOWNS, self._exprs):
-            setattr(self, unknown, _lambdify(expr))
+        for unknown, field in zip(UNKNOWNS, map(_lambdify, atoms[0:15:5])):
+            setattr(self, unknown, lambda t, x, y, f=field: _full(f(t, x, y), t, x, y))
             setattr(self, "boundary_" + unknown, getattr(self, unknown))
-        self._sources, self._fluxes = self._expand(*self._exprs)
-        self._flux = {}   # unknown -> lambdified flux, built on first use
-        for name in ("total", "aqueous", "vapor"):
-            setattr(self, "source_" + name, _lambdify(self._sources[name]))
+        self._atoms = _lambdify(atoms)
+        self._last = (), {}   # points and saturation sources kept by _source
+        for name, phases in (("total", "lva"), ("aqueous", "a"), ("vapor", "v")):
+            setattr(self, "source_" + name, self._source(phases))
 
-    def _expand(self, p, sa, sv):
-        """Symbolic phase sources and Neumann fluxes of the exact fields."""
+    def _phases(self, a, phases):
+        """``(kappa lam_j, drive, div F_j)`` of each phase j in ``phases`` from
+        the atoms ``a``; F_j = kappa lam_j drive, drive = grad P_j - rho_j g
+        as a pair of components.  The chain rule, with the closure laws of
+        :mod:`physics` (k_rl unfloored, as the exact fields differentiate it)
+        and P_j = p + c p_c(s), c = 1 (vapor), -1 (aqueous) or 0 (liquid):
+        dP_j = dp + c p_c' ds, ddP_j = ddp + c (p_c'' ds^2 + p_c' dds), and
+        d(lam_j drive) = (dlam_j/ds_a ds_a + dlam_j/ds_v ds_v) drive + lam_j ddP_j."""
         f = self.fluids
-        kappa = float(np.asarray(f.permeability))
-        gx, gy = (float(c) for c in f.gravity)
+        p, sa, sv = a[0:5], a[5:10], a[10:15]
+        s = SaturationPair(sa[0], sv[0])
+        lam, dlam = mobilities(s, f, floor=False), mobility_partials(s, f)
+        dpca, d2pca, dpcv, d2pcv = capillary_derivatives(s.s_a, s.s_v)
+        # per phase: lam_j, its partials with their fields, rho_j, c p_c', c p_c'', s
+        phase = {"l": (lam.lam_l, ((dlam.dlam_l_dsa, sa), (dlam.dlam_l_dsv, sv)), f.rho_l, ()),
+                 "v": (lam.lam_v, ((dlam.dlam_v_dsv, sv),), f.rho_v, ((dpcv, d2pcv, sv),)),
+                 "a": (lam.lam_a, ((dlam.dlam_a_dsa, sa),), f.rho_a, ((-dpca, -d2pca, sa),))}
+        out = {}
+        for j in phases:
+            lam_j, partials, rho, capillary = phase[j]
+            drive, div = [], 0.0
+            for d, g in zip((1, 2), f.gravity):
+                dP, ddP = p[d], p[d + 2]
+                for dpc, d2pc, s_j in capillary:   # none for the liquid
+                    dP, ddP = dP + dpc * s_j[d], ddP + (d2pc * s_j[d] ** 2 + dpc * s_j[d + 2])
+                drive.append(dP - rho * g)
+                div = div + sum(c * s_k[d] for c, s_k in partials) * drive[-1] + lam_j * ddP
+            out[j] = self._kappa * lam_j, drive, self._kappa * div
+        return out
 
-        sl = 1 - sa - sv
-        k_rl = sl * (sl + sa) * (1 - sa)
-        lam = {
-            "l": k_rl / f.mu_l,
-            "v": sv**2 / f.mu_v,
-            "a": sa**2 / f.mu_a,
-        }
-        rho = {"l": f.rho_l, "v": f.rho_v, "a": f.rho_a}
-        p_cv = PCV_SCALE * sp.log(sp.Float(1.01) - sv)
-        p_ca = PCA_SCALE * sp.log(sa + sp.Float(0.01))
-        phase_p = {"l": p, "v": p + p_cv, "a": p - p_ca}
-        s_of = {"l": sl, "v": sv, "a": sa}
-
-        q = {}
-        for j in ("l", "v", "a"):
-            fx = kappa * lam[j] * (sp.diff(phase_p[j], _X) - rho[j] * gx)
-            fy = kappa * lam[j] * (sp.diff(phase_p[j], _Y) - rho[j] * gy)
-            q[j] = f.porosity * sp.diff(s_of[j], _T) - sp.diff(fx, _X) - sp.diff(fy, _Y)
-        sources = {"liquid": q["l"], "vapor": q["v"], "aqueous": q["a"],
-                   "total": q["l"] + q["v"] + q["a"]}
-
-        lam_t = lam["l"] + lam["v"] + lam["a"]
-        rho_lam_t = sum(rho[j] * lam[j] for j in ("l", "v", "a"))
-        dpca_dsa = PCA_SCALE / (sa + sp.Float(0.01))
-        dpcv_dsv = -PCV_SCALE / (sp.Float(1.01) - sv)
-        fluxes = {"pressure": tuple(
-            kappa * lam_t * sp.diff(p, z) + kappa * lam["v"] * sp.diff(p_cv, z)
-            - kappa * lam["a"] * sp.diff(p_ca, z) - kappa * rho_lam_t * g
-            for z, g in ((_X, gx), (_Y, gy)))}
-        # the capillary pressure enters the aqueous phase pressure with a minus
-        for j, sign, dpc_ds in (("a", -1, dpca_dsa), ("v", 1, dpcv_dsv)):
-            fluxes["sat_" + j] = tuple(
-                sign * kappa * lam[j] * dpc_ds * sp.diff(s_of[j], z)
-                + kappa * lam[j] * sp.diff(p, z) - rho[j] * kappa * lam[j] * g
-                for z, g in ((_X, gx), (_Y, gy)))
-        return sources, fluxes
+    def _source(self, phases):
+        """Source phi d/dt(sum of s_j) - sum of div F_j over ``phases``.  A step
+        asks for its three sources at the same points, so one evaluation
+        yields them all; the saturation sources are kept until asked for."""
+        def source(t, x, y):
+            key, kept = self._last
+            if not (phases in kept and all(map(np.array_equal, key, (t, x, y)))):
+                # allocated first: made after the temporaries, it would pin them
+                shape = np.broadcast_shapes(np.shape(t), np.shape(x), np.shape(y))
+                key, kept = [np.array(v) for v in (t, x, y)], {
+                    j: np.empty(shape) for j in {"a", "v", phases}}
+                a = self._atoms(t, x, y)
+                div = {j: d for j, (*_, d) in self._phases(a, "lva").items()}
+                ds_dt = {"a": a[15], "v": a[16], "l": -(a[15] + a[16])}
+                for j, q in kept.items():
+                    q[...] = -(div["l"] + div["v"] + div["a"]) if j == "lva" else (
+                        self.fluids.porosity * ds_dt[j] - div[j])
+                self._last = key, kept
+            q = kept.pop(phases)
+            return float(q) if q.ndim == 0 else q
+        return source
 
     # -- built on first use: a time step never calls these -----------------
 
-    def _gradient(self, i):
-        return _lambdify_vec(*(sp.diff(self._exprs[i], z) for z in (_X, _Y)))
+    def _rows(self, *rows):
+        def evaluate(t, x, y):   # the atoms ``rows``, stacked if several
+            a = self._atoms(t, x, y)
+            out = [_full(a[r], t, x, y) for r in rows]
+            return np.stack(out) if len(rows) > 1 else out[0]
+        return evaluate
 
-    pressure_grad = cached_property(lambda self: self._gradient(0))
-    sat_a_grad = cached_property(lambda self: self._gradient(1))
-    sat_v_grad = cached_property(lambda self: self._gradient(2))
-    sat_a_dt = cached_property(lambda self: _lambdify(sp.diff(self._exprs[1], _T)))
-    sat_v_dt = cached_property(lambda self: _lambdify(sp.diff(self._exprs[2], _T)))
-    source_liquid = cached_property(lambda self: _lambdify(self._sources["liquid"]))
+    pressure_grad = cached_property(lambda self: self._rows(1, 2))
+    sat_a_grad = cached_property(lambda self: self._rows(6, 7))
+    sat_v_grad = cached_property(lambda self: self._rows(11, 12))
+    sat_a_dt = cached_property(lambda self: self._rows(15))
+    sat_v_dt = cached_property(lambda self: self._rows(16))
+    source_liquid = cached_property(lambda self: self._source("l"))
 
     # -- spec-level conveniences ------------------------------------------
 
@@ -285,10 +310,10 @@ class ManufacturedCase:
     def neumann(self, unknown, t, x, y, normal):
         """Exact normal flux ``F . normal`` of ``unknown`` ('pressure',
         'sat_a' or 'sat_v'), the Neumann data of its non-Dirichlet sides."""
-        if unknown not in self._flux:
-            self._flux[unknown] = _lambdify_vec(*self._fluxes[unknown])
-        F = self._flux[unknown](t, x, y)
-        return F[0] * normal[0] + F[1] * normal[1]
+        phases = {"pressure": "lva", "sat_a": "a", "sat_v": "v"}[unknown]
+        terms = self._phases(self._atoms(t, x, y), phases).values()
+        return _full(sum(klam * (drive[0] * normal[0] + drive[1] * normal[1])
+                         for klam, drive, _ in terms), t, x, y)
 
     def __repr__(self):
         return f"ManufacturedCase({self.name!r})"

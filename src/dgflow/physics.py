@@ -84,14 +84,14 @@ def clamp(s_raw_a, s_raw_v, eps: float = SAT_EPS) -> SaturationPair:
     return SaturationPair(s_a, s_v)
 
 
-def relative_permeabilities(s: SaturationPair):
+def relative_permeabilities(s: SaturationPair, floor: bool = True):
     """Quadratic-type relative permeabilities (k_rl, k_rv, k_ra).
 
-    k_rl = s_l (s_l + s_a)(1 - s_a), floored at zero for unphysical s_l;
-    k_rv = s_v^2; k_ra = s_a^2.
+    k_rl = s_l (s_l + s_a)(1 - s_a), floored at zero for unphysical s_l
+    unless ``floor`` is false; k_rv = s_v^2; k_ra = s_a^2.
     """
-    k_rl = np.maximum(s.s_l * (s.s_l + s.s_a) * (1.0 - s.s_a), 0.0)
-    return k_rl, s.s_v**2, s.s_a**2
+    k_rl = s.s_l * (s.s_l + s.s_a) * (1.0 - s.s_a)
+    return np.maximum(k_rl, 0.0) if floor else k_rl, s.s_v**2, s.s_a**2
 
 
 @dataclass(frozen=True)
@@ -103,9 +103,9 @@ class Mobilities:
     rho_lam_t: np.ndarray
 
 
-def mobilities(s: SaturationPair, fluids: FluidProperties) -> Mobilities:
+def mobilities(s: SaturationPair, fluids: FluidProperties, floor: bool = True) -> Mobilities:
     """Phase mobilities k_r/mu plus total and density-weighted totals."""
-    k_rl, k_rv, k_ra = relative_permeabilities(s)
+    k_rl, k_rv, k_ra = relative_permeabilities(s, floor)
     lam_l = k_rl / fluids.mu_l
     lam_v = k_rv / fluids.mu_v
     lam_a = k_ra / fluids.mu_a
@@ -136,9 +136,16 @@ def capillary_pressure_a(s_a):
     return PCA_SCALE * np.log(arg), deriv, -deriv
 
 
+def capillary_derivatives(s_a, s_v):
+    """``(p_ca', p_ca'', p_cv', p_cv'')``: the capillary pressures' first and
+    second saturation derivatives, with no domain check."""
+    dpca, dpcv = PCA_SCALE / (s_a + 0.01), -PCV_SCALE / (1.01 - s_v)
+    return dpca, -dpca / (s_a + 0.01), dpcv, dpcv / (1.01 - s_v)
+
+
 @dataclass(frozen=True)
 class MobilityPartials:
-    """Analytic partial derivatives of the mobilities, for oracle checks."""
+    """Analytic partial derivatives of the mobilities, unfloored."""
 
     dlam_l_dsa: np.ndarray
     dlam_l_dsv: np.ndarray

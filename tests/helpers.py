@@ -1,12 +1,14 @@
 """Shared test scaffolding: case stubs, states and independent oracles."""
 
 import numpy as np
+import sympy as sp
 
 from dgflow import dg_core, physics
 from dgflow.assembly import LaggedCoefficients, harmonic_penalty
 from dgflow.dg_core import DGField, evaluate, gauss_1d, jump
+from dgflow.manufactured import _T, _X, _Y, _as_expr
 from dgflow.mesh import SIDE_NAMES
-from dgflow.physics import FluidProperties
+from dgflow.physics import PCA_SCALE, PCV_SCALE, FluidProperties
 from dgflow.solver import PhaseState
 
 ALL_SIDES = tuple(SIDE_NAMES)
@@ -52,6 +54,37 @@ class StubCase:
         if unknown not in self.neumann_data:
             raise AssertionError(f"Neumann {unknown} data requested unexpectedly")
         return self.neumann_data[unknown](t, x, y, normal)
+
+
+def eval_basis(element, reference_point):
+    """Basis values and physical gradients of one element at a reference point.
+
+    Returns ``(values, gradients)`` with shapes (4,) and (4, 2); the
+    gradients are mapped through the (diagonal) affine cell map.
+    """
+    pt = np.asarray(reference_point, dtype=float)
+    grads = dg_core.basis_gradients(pt).copy()
+    grads[..., 0] /= element.vertices[1, 0] - element.vertices[0, 0]
+    grads[..., 1] /= element.vertices[2, 1] - element.vertices[0, 1]
+    return dg_core.basis_values(pt), grads
+
+
+def evaluate_at(field, x, y):
+    """Evaluate a DG field at physical points, locating elements by lattice index."""
+    m = field.mesh
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    i = np.clip(((x - m.domain[0]) / m.dx).astype(int), 0, m.nx - 1)
+    j = np.clip(((y - m.domain[1]) / m.dy).astype(int), 0, m.ny - 1)
+    ref = np.stack([(x - m.domain[0]) / m.dx - i, (y - m.domain[1]) / m.dy - j],
+                   axis=-1)
+    return evaluate(field, j * m.nx + i, ref)
+
+
+def l2_norm(field):
+    t = dg_core.tables(field.mesh)
+    vals = field.coeffs @ t.phi
+    return float(np.sqrt(np.einsum("eq,q->", vals**2, t.wdet)))
 
 
 def constant_field(mesh, value, tag=""):
@@ -131,7 +164,7 @@ def rt_moments_oracle(mesh, p, coeffs, cfg, rule=None):
             return list(zip((face.k1, face.k2), pts))
 
         def normal_gradient(elem, pt):
-            _, grads = dg_core.eval_basis(mesh.element(elem), pt)
+            _, grads = eval_basis(mesh.element(elem), pt)
             return (p.coeffs[elem] @ grads) @ n
 
         total = 0.0
@@ -153,3 +186,49 @@ def rt_moments_oracle(mesh, p, coeffs, cfg, rule=None):
             total += w * (-avg + cfg.alpha_p * eta / face.length * jump(p, face, s))
         out[fid] = total * face.length
     return out
+
+
+def symbolic_sources(fluids, pressure, sat_a, sat_v):
+    """Independent oracle of the manufactured sources and Neumann fluxes.
+
+    Expands each phase's mass balance in divergence form symbolically, with
+    the closure laws written out again here, and returns sympy expressions
+    in ``(t, x, y)``: ``sources`` with keys liquid, vapor, aqueous and total,
+    and ``fluxes`` with keys pressure, sat_a and sat_v, each an (x, y) pair.
+    """
+    p, sa, sv = (_as_expr(e) for e in (pressure, sat_a, sat_v))
+    kappa = float(np.asarray(fluids.permeability))
+    gx, gy = (float(c) for c in fluids.gravity)
+
+    sl = 1 - sa - sv
+    k_rl = sl * (sl + sa) * (1 - sa)
+    lam = {"l": k_rl / fluids.mu_l, "v": sv**2 / fluids.mu_v, "a": sa**2 / fluids.mu_a}
+    rho = {"l": fluids.rho_l, "v": fluids.rho_v, "a": fluids.rho_a}
+    p_cv = PCV_SCALE * sp.log(sp.Float(1.01) - sv)
+    p_ca = PCA_SCALE * sp.log(sa + sp.Float(0.01))
+    phase_p = {"l": p, "v": p + p_cv, "a": p - p_ca}
+    s_of = {"l": sl, "v": sv, "a": sa}
+
+    q = {}
+    for j in ("l", "v", "a"):
+        fx = kappa * lam[j] * (sp.diff(phase_p[j], _X) - rho[j] * gx)
+        fy = kappa * lam[j] * (sp.diff(phase_p[j], _Y) - rho[j] * gy)
+        q[j] = fluids.porosity * sp.diff(s_of[j], _T) - sp.diff(fx, _X) - sp.diff(fy, _Y)
+    sources = {"liquid": q["l"], "vapor": q["v"], "aqueous": q["a"],
+               "total": q["l"] + q["v"] + q["a"]}
+
+    lam_t = lam["l"] + lam["v"] + lam["a"]
+    rho_lam_t = sum(rho[j] * lam[j] for j in ("l", "v", "a"))
+    dpca_dsa = PCA_SCALE / (sa + sp.Float(0.01))
+    dpcv_dsv = -PCV_SCALE / (sp.Float(1.01) - sv)
+    fluxes = {"pressure": tuple(
+        kappa * lam_t * sp.diff(p, z) + kappa * lam["v"] * sp.diff(p_cv, z)
+        - kappa * lam["a"] * sp.diff(p_ca, z) - kappa * rho_lam_t * g
+        for z, g in ((_X, gx), (_Y, gy)))}
+    # the capillary pressure enters the aqueous phase pressure with a minus
+    for j, sign, dpc_ds in (("a", -1, dpca_dsa), ("v", 1, dpcv_dsv)):
+        fluxes["sat_" + j] = tuple(
+            sign * kappa * lam[j] * dpc_ds * sp.diff(s_of[j], z)
+            + kappa * lam[j] * sp.diff(p, z) - rho[j] * kappa * lam[j] * g
+            for z, g in ((_X, gx), (_Y, gy)))
+    return sources, fluxes

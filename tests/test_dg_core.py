@@ -3,12 +3,13 @@ import pytest
 
 from dgflow import dg_core
 from dgflow.dg_core import (DGField, DegenerateWeightsError, coercivity_norm,
-                            eval_basis, evaluate, gauss_1d, gauss_2d, jump,
+                            evaluate, gauss_1d, gauss_2d, jump,
                             jump_seminorm, l2_error, l2_project, star_norm,
                             weighted_average)
 from dgflow.mesh import build_uniform_mesh
 
-from helpers import face_quadrature_jumps, fine_l2_error, nodal_interpolant
+from helpers import (eval_basis, evaluate_at, face_quadrature_jumps, fine_l2_error,
+                     nodal_interpolant)
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +153,7 @@ def test_l2_project_orthogonality(mesh22):
 def test_l2_project_idempotent(mesh22):
     f = lambda x, y: np.exp(x) * np.cos(y)
     proj = l2_project(f, mesh22)
-    again = l2_project(lambda x, y: dg_core.evaluate_at(proj, x, y), mesh22)
+    again = l2_project(lambda x, y: evaluate_at(proj, x, y), mesh22)
     assert np.allclose(proj.coeffs, again.coeffs, atol=1e-12)
 
 

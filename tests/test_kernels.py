@@ -3,20 +3,16 @@
 The face blocks and the loads are small matmuls against per-mesh tables;
 the references below are the ``einsum`` formulas they replaced, which sum
 in another order, so they must agree to 1e-13 relative.  The volume
-blocks keep their ``einsum`` and must agree bit for bit.  The
-manufactured sources are lambdified with common-subexpression
-elimination and must agree with the plain lambdified expressions.
+blocks keep their ``einsum`` and must agree bit for bit.
 """
 
 import numpy as np
 import pytest
-import sympy as sp
 
 from dgflow import assembly
 from dgflow.assembly import LaggedCoefficients, RTField
 from dgflow.dg_core import FACE_POINTS, DGField, gauss_1d, tables
-from dgflow.manufactured import (_T, _X, _Y, ManufacturedCase,
-                                 constant_densities_case, gravity_case)
+from dgflow.manufactured import ManufacturedCase
 from dgflow.mesh import build_uniform_mesh
 from dgflow.physics import FluidProperties
 
@@ -164,17 +160,3 @@ def test_right_hand_sides_match_einsum_loads(lagged, monkeypatch):
         monkeypatch.setattr(assembly, name, ref)
     for a, b in zip(new, _right_hand_sides(lagged), strict=True):
         assert_close(a, b)
-
-
-# -- manufactured sources with common-subexpression elimination ------------------
-
-@pytest.mark.parametrize("make_case", [constant_densities_case, gravity_case])
-def test_cse_sources_match_plain_lambdify(make_case):
-    case = make_case()
-    rng = np.random.default_rng(3)
-    t, x, y = rng.uniform(0.0, 1.0, (3, 500))
-    exprs = {"source_" + k: v for k, v in case._sources.items()}
-    for name, expr in exprs.items():
-        plain = sp.lambdify((_T, _X, _Y), expr, modules="numpy")
-        assert_close(getattr(case, name)(t, x, y),
-                     np.broadcast_to(plain(t, x, y), t.shape))

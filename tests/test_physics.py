@@ -4,7 +4,7 @@ import pytest
 from dgflow import physics
 from dgflow.manufactured import (constant_densities_case, gravity_case,
                                  ManufacturedCase)
-from dgflow.physics import (CapillaryDomainError, FluidProperties,
+from dgflow.physics import (CapillaryDomainError, FluidProperties, capillary_derivatives,
                             capillary_pressure_a, capillary_pressure_v, clamp,
                             mobilities, mobility_partials,
                             relative_permeabilities)
@@ -130,6 +130,25 @@ def test_mobility_partials_match_fd():
     assert np.allclose(part.dlam_l_dsv, fd_l_v, rtol=1e-5, atol=1e-8)
     assert np.allclose(part.dlam_v_dsv, fd_v_v, rtol=1e-5, atol=1e-8)
     assert np.allclose(part.dlam_a_dsa, fd_a_a, rtol=1e-5, atol=1e-8)
+
+
+def test_capillary_second_derivatives_match_fd():
+    dpca, d2pca, dpcv, d2pcv = capillary_derivatives(GRID, GRID)
+    assert np.array_equal(dpca, capillary_pressure_a(GRID)[1])
+    assert np.array_equal(dpcv, capillary_pressure_v(GRID)[1])
+    assert np.allclose(d2pca, central_diff(lambda s: capillary_pressure_a(s)[1], GRID),
+                       rtol=1e-5)
+    assert np.allclose(d2pcv, central_diff(lambda s: capillary_pressure_v(s)[1], GRID),
+                       rtol=1e-5)
+    # unchecked: finite beyond the domain of the capillary pressures themselves
+    assert np.all(np.isfinite(capillary_derivatives(-0.5, 1.5)))
+
+
+def test_unfloored_liquid_mobility_keeps_its_sign():
+    s = physics.SaturationPair(np.array([0.6, 0.2]), np.array([0.6, 0.3]))   # s_l < 0, > 0
+    floored, smooth = mobilities(s, FLUIDS), mobilities(s, FLUIDS, floor=False)
+    assert floored.lam_l[0] == 0.0 and smooth.lam_l[0] < 0.0
+    assert floored.lam_l[1] == smooth.lam_l[1] > 0.0
 
 
 # -- clamping ----------------------------------------------------------------

@@ -4,15 +4,15 @@ import scipy.sparse as sps
 
 from dgflow import assembly, dg_core, solver
 from dgflow.assembly import LinearSystem, NonPositiveCoefficientError, SchemeConfig
-from dgflow.dg_core import DGField, l2_project, l2_norm, tables
+from dgflow.dg_core import DGField, l2_project, tables
 from dgflow.manufactured import ManufacturedCase, constant_densities_case
 from dgflow.mesh import build_uniform_mesh
 from dgflow.physics import FluidProperties
 from dgflow.solver import (NonConvergenceError, PhaseState, SingularSystemError,
                            TimeConfig, advance, initialize, run, solve_linear)
 
-from helpers import (StubCase, constant_state, lagged_coefficients, nodal_interpolant,
-                     zero_mobilities)
+from helpers import (StubCase, constant_state, l2_norm, lagged_coefficients,
+                     nodal_interpolant, zero_mobilities)
 
 
 def _system(matrix, rhs):

@@ -1,6 +1,7 @@
 """Compare the final states of a parent revision and this checkout bit for bit.
 
     python3 tools/bitwise_states.py --parent HEAD~1
+    python3 tools/bitwise_states.py --parent HEAD~1 --rtol 1e-10
 
 Unpacks ``--parent`` with ``git archive`` into a temporary directory and,
 for it and for this checkout as it stands on disk, marches four
@@ -12,7 +13,10 @@ Neumann sides (pressure on the right side, s_a on the top side), all with
 the saturations solved in-process, and the gravity case at 32x32 (in the
 helper process, where the machine can run it).  Each tree runs in its own
 interpreter.  Prints, per run and field (pressure, s_a, s_v), whether
-``np.array_equal`` holds, and exits 1 if any field differs.
+``np.array_equal`` holds, and exits 1 if any field differs.  With
+``--rtol``, prints instead the largest difference of each run and field
+relative to the parent field's largest magnitude, and exits 1 if any
+exceeds the tolerance.
 """
 
 from __future__ import annotations
@@ -79,6 +83,8 @@ def march(tree: Path, dest: Path) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
+    parser.add_argument("--rtol", type=float, default=None,
+                        help="pass within this relative difference instead of bit for bit")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="bitwise_states_") as tmp:
@@ -93,10 +99,16 @@ def main(argv=None) -> int:
         key = f"{name}_{nx}x{ny}"
         where = "helper" if change[key + "_helper"] else "in-process"
         for field in FIELDS:
-            equal = np.array_equal(parent[f"{key}_{field}"], change[f"{key}_{field}"])
-            same &= equal
-            print(f"{name:20s} {nx:3d}x{ny:<3d} {where:10s} {field:8s} "
-                  f"{'identical' if equal else 'DIFFERENT'}")
+            a, b = parent[f"{key}_{field}"], change[f"{key}_{field}"]
+            if args.rtol is None:
+                ok = np.array_equal(a, b)
+                verdict = "identical" if ok else "DIFFERENT"
+            else:
+                rel = float(np.max(np.abs(b - a)) / np.max(np.abs(a)))
+                ok = rel <= args.rtol
+                verdict = f"max rel diff {rel:.3e} {'within' if ok else 'BEYOND'} {args.rtol:g}"
+            same &= ok
+            print(f"{name:20s} {nx:3d}x{ny:<3d} {where:10s} {field:8s} {verdict}")
     return 0 if same else 1
 
 

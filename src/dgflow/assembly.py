@@ -51,6 +51,7 @@ import scipy.sparse as sps
 
 from . import physics
 from .dg_core import DGField, EDGE_NODES, EDGE_NORMALS, tables
+from .manufactured import NonFiniteFieldError
 from .mesh import Mesh, Face, LEFT, RIGHT, BOTTOM, TOP, SIDE_NAMES
 
 
@@ -545,14 +546,15 @@ def _saturation_rhs(mesh, coeffs, case, t_next, tau, velocity, phase, sat_prev,
 def dirichlet_constraints(mesh, case, unknown, t):
     """Constrained DOF ids and nodal boundary values for one unknown."""
     data_fn = getattr(case, "boundary_" + unknown)
-    dofs, vals = [], []
-    for side in case.dirichlet_sides[unknown]:
-        bg = _groups(mesh).boundary[side]
-        dofs.append(bg.dofs)
-        vals.append(np.asarray(data_fn(t, bg.x, bg.y), dtype=float).ravel())
-    if not dofs:
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    return _dedupe_constraints(np.concatenate(dofs), np.concatenate(vals))
+    sides = [_groups(mesh).boundary[side] for side in case.dirichlet_sides[unknown]]
+    dofs = np.concatenate([np.empty(0, dtype=np.int64)] + [bg.dofs for bg in sides])
+    vals = [np.asarray(data_fn(t, bg.x, bg.y), dtype=float).ravel() for bg in sides]
+    vals = np.concatenate([np.empty(0)] + vals)
+    bad = dofs[~np.isfinite(vals)]
+    if bad.size:
+        raise NonFiniteFieldError(f"the Dirichlet data of {unknown} at t={t:g} are not "
+                                  f"finite at DOF {bad.min()}")
+    return _dedupe_constraints(dofs, vals)
 
 
 def _dedupe_constraints(dofs, vals):
@@ -582,17 +584,16 @@ def apply_dirichlet(matrix, rhs, dofs, values):
     such pair (see :func:`_dirichlet_plan`); a call then gathers ``data``
     and updates the right-hand side.  Returns the new ``(csr_matrix, rhs)``.
     """
-    matrix, lift = _eliminate(matrix, dofs, values)
+    matrix, lift = _eliminate(matrix, *_dedupe_constraints(
+        np.asarray(dofs, dtype=np.int64), np.asarray(values, dtype=float)))
     return matrix, lift(rhs)
 
 
 def _eliminate(matrix, dofs, values):
-    """The matrix half of :func:`apply_dirichlet`: the constrained matrix,
-    and a function that takes a right-hand side of ``matrix`` to the one
-    of the constrained system.  The function keeps only the products moved
-    to the right-hand side, not the matrix."""
-    dofs, values = _dedupe_constraints(np.asarray(dofs, dtype=np.int64),
-                                       np.asarray(values, dtype=float))
+    """The matrix half of :func:`apply_dirichlet`, for de-duplicated
+    constraints: the constrained matrix, and a function that takes a
+    right-hand side of ``matrix`` to the one of the constrained system;
+    it keeps only the products moved to the right-hand side, not the matrix."""
     A = matrix.tocsr()
     plan = _dirichlet_plans.get((A.indptr, A.indices, dofs),
                                 lambda: _dirichlet_plan(A, dofs))
@@ -695,7 +696,8 @@ def _system(matrix, rhs, mesh, case, unknown, t_next, constrain) -> LinearSystem
     ``matrix`` and ``rhs`` when ``constrain`` is set."""
     dofs, vals = dirichlet_constraints(mesh, case, unknown, t_next)
     if constrain:
-        matrix, rhs = apply_dirichlet(matrix, rhs, dofs, vals)
+        matrix, lift = _eliminate(matrix, dofs, vals)
+        rhs = lift(rhs)
     return LinearSystem(matrix, rhs, dofs, vals)
 
 

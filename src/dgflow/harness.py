@@ -281,7 +281,7 @@ def cli_main(argv=None) -> int:
         return 2
     try:
         report = convergence_study(config)
-    except ExpressionError as exc:   # a field or derivative the case build rejects
+    except ExpressionError as exc:   # a field the case build or the scheme rejects
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except solver.STEP_ERRORS as exc:

@@ -56,6 +56,10 @@ class ExpressionError(ValueError):
     """A field expression given as text is not allowed or cannot be evaluated."""
 
 
+class NonFiniteFieldError(ExpressionError):
+    """A field has a non-finite value where the scheme evaluates it."""
+
+
 def parse_expression(text: str) -> sp.Expr:
     """Sympy expression of a field given as text.
 

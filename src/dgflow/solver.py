@@ -8,30 +8,25 @@ clamping happens only inside coefficient evaluation.
 
 What runs where.  Because the coefficients are lagged, the two saturation
 matrices depend only on the previous state, tau and the Dirichlet DOFs;
-only their right-hand sides need the new pressure.  So :func:`advance`
-builds and constrains both saturation matrices before it assembles the
-pressure system, and hands them to a helper process, which factors them
-while this process assembles, factors and solves the pressure system.
-The saturation right-hand sides then go to the helper, and the refined
-solutions come back.
+only their right-hand sides need the new pressure.  So every step of
+:func:`advance`, at any mesh size, builds and constrains both before it
+assembles the pressure system and hands them to a helper process, which
+factors them while this process solves the pressure system, then solves
+them from their right-hand sides.  With one usable CPU, off POSIX, or if
+the helper failed to start, they are solved here, in the serial order.
 
-* The helper is started at the first system of ``HELPER_MIN_UNKNOWNS``
-  unknowns or more, never at import: a second interpreter (about 1 s to
-  import, waited for once) that lives as long as this process.  It exits
-  when its pipe reaches EOF: when this process closes it at exit, or dies,
-  even by SIGKILL.  If it dies, the next step starts another; a step that
-  loses it builds its saturation matrices again and solves them here.
-* Smaller systems, machines with fewer than two usable CPUs and non-POSIX
-  platforms solve the saturations in this process, in the serial order.
-  ``HELPER_MIN_UNKNOWNS = 1600`` (20x20) is a point between the
-  benchmark's sizes, and only its two sides are backed by benchmark
-  workloads: 16x16 stays in-process, because in benchmark pairs the
-  helper made that workload's 95th-percentile step slower, and 32x32 and
-  64x64 use the helper.  In the gap, ``tools/helper_sweep.py`` (gravity
-  case, tau = h^2, single-threaded BLAS, 2 vCPUs) put the helper's median
-  step at 0.7 to 0.9 of the in-process one from 20x20 to 28x28 in most
-  sweeps; it favoured the helper at 16x16 too, unlike the benchmark
-  pairs.  The host is noisy and the crossover is not pinned down.
+* The helper is a second interpreter, started at a process's first step
+  (never at import) and waited for once, that lives as long as this
+  process.  It exits when its pipe reaches EOF: when this process closes
+  it at exit, or dies, even by SIGKILL.  If it dies, the next step starts
+  another; a step that loses it builds its saturation matrices again and
+  solves them here.
+* Its costs (gravity case, single-threaded BLAS, 2 vCPUs): a start of
+  about 0.35 s on the first step, which a short run pays whole (a
+  three-level CLI ladder to 8x8: 1.0 s against 0.53 s); 0.15 ms more per
+  4x4 step (2.05 against 1.9 ms), while from 8x8 up a step is faster
+  (8x8: 3.1 against 3.4 ms, 16x16: 6.5 against 8.5 ms); and a peak of
+  about 95 MB (146 MB at 64x64) beside this process's 100 (153) MB.
 * Both processes factor and refine with the same code
   (:class:`_Factorization`): the single-precision factor, refinement to
   stagnation, the double-precision fallback, the non-finite check and the
@@ -62,7 +57,7 @@ from . import assembly
 from .assembly import (LaggedCoefficients, LinearSystem, NonPositiveCoefficientError,
                        SchemeConfig)
 from .dg_core import DGField, coercivity_norm, l2_error, l2_project
-from .manufactured import UNKNOWNS
+from .manufactured import UNKNOWNS, NonFiniteFieldError
 from .mesh import Mesh
 
 
@@ -78,7 +73,8 @@ class NonConvergenceError(RuntimeError):
 
 #: errors that ``advance`` prefixes with the step and ``convergence_study``
 #: with the ladder level
-STEP_ERRORS = (SingularSystemError, NonConvergenceError, NonPositiveCoefficientError)
+STEP_ERRORS = (SingularSystemError, NonConvergenceError, NonPositiveCoefficientError,
+               NonFiniteFieldError)
 
 #: relative residual tolerance for every implicit solve; two orders below
 #: the smallest error magnitudes resolved by the verification studies
@@ -260,11 +256,7 @@ def _refine(A, b, solve):
 
 # -- where the saturation systems are factored ------------------------------
 
-#: saturation systems with fewer unknowns are factored in the calling
-#: process; larger ones in the helper process (see the module docstring)
-HELPER_MIN_UNKNOWNS = 1600
-
-#: how long a new helper may take to import the solver (about 1 s)
+#: how long a new helper may take to import the solver (about 0.35 s)
 HELPER_START_S = 60.0
 
 
@@ -387,12 +379,10 @@ _helper: _Helper | None = None
 _helper_failed = False
 
 
-def _helper_for(n_unknowns: int) -> _Helper | None:
-    """The helper for a large system on a machine that can run it beside
-    this process, started or restarted here; otherwise None."""
+def _helper_for() -> _Helper | None:
+    """The helper, started or restarted here, if this machine can run it."""
     global _helper, _helper_failed
-    if (n_unknowns < HELPER_MIN_UNKNOWNS or _helper_failed
-            or not _can_run_helper()):
+    if _helper_failed or not _can_run_helper():
         return None
     if _helper is not None and not _helper.alive():
         _helper.close()
@@ -422,7 +412,7 @@ class _SaturationSolves:
     def __init__(self, state, cfg, case, tau, t_next, coeffs: LaggedCoefficients):
         self.state, self.cfg, self.case, self.tau, self.t_next, self.coeffs = (
             state, cfg, case, tau, t_next, coeffs)
-        self.helper = _helper_for(4 * state.mesh.n_elements)
+        self.helper = _helper_for()
         self.lifts = {}
         if self.helper is None:
             return
@@ -457,8 +447,13 @@ class _SaturationSolves:
 
 def initialize(case, mesh: Mesh) -> PhaseState:
     """Starting state: elementwise L2 projections of the exact fields at t=0."""
-    return PhaseState(*(l2_project(functools.partial(getattr(case, u), 0.0), mesh, u)
-                        for u in UNKNOWNS), step=0, time=0.0)
+    state = PhaseState(*(l2_project(functools.partial(getattr(case, u), 0.0), mesh, u)
+                         for u in UNKNOWNS), step=0, time=0.0)
+    for u in UNKNOWNS:
+        bad = np.flatnonzero(~np.isfinite(getattr(state, u).coeffs).all(axis=1))
+        if bad.size:
+            raise NonFiniteFieldError(f"the initial {u} is not finite on element {bad[0]}")
+    return state
 
 
 def advance(state: PhaseState, tau: float, cfg: SchemeConfig, case) -> PhaseState:
@@ -467,10 +462,8 @@ def advance(state: PhaseState, tau: float, cfg: SchemeConfig, case) -> PhaseStat
     The saturation matrices are built first, from the lagged coefficients,
     and handed over to be factored.  Then come the pressure solve, the
     RT0 projection and the two saturation right-hand sides and solves.
-    Systems of ``HELPER_MIN_UNKNOWNS`` unknowns or more are
-    factored in the helper process while this one solves the pressure;
-    the new state has the same bits either way.  Errors raised by the
-    solves or the coefficient checks name the step.
+    The new state has the same bits wherever the saturations are solved.
+    Errors raised by the solves or the coefficient checks name the step.
     """
     mesh = state.mesh
     t_next = state.time + tau

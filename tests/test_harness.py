@@ -174,6 +174,20 @@ def test_cli_bad_numeric_input_exits_2(args, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("pressure, names", [
+    ("sqrt(x - 2)", "ladder level 0 (h=0.5): the initial pressure is not finite"),
+    ("sqrt(0.3 - t)", "step 0 -> 1: the Dirichlet data of pressure at t=0.5 are not finite")])
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_cli_non_finite_field_exits_2(pressure, names, tmp_path, capsys):
+    # NaN compares unequal to itself: unchecked, NaN boundary data read as
+    # conflicting constraints
+    assert cli_main(["--case", "custom", "--pressure-expr", pressure,
+                     "--sat-a-expr", "1/4", "--sat-v-expr", "1/4", "--levels", "2",
+                     "--h0", "0.5", "--t-final", "0.5",
+                     "--out", str(tmp_path / "table.csv")]) == 2
+    assert names in capsys.readouterr().err
+
+
 def test_cli_missing_config_file_exits_2():
     assert cli_main(["--config", "/nonexistent/path.cfg"]) == 2
 

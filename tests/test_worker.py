@@ -20,7 +20,7 @@ from dgflow.manufactured import gravity_case
 from dgflow.mesh import build_uniform_mesh
 from dgflow.solver import PhaseState, SingularSystemError, advance, initialize
 
-N = 32            # 4096 unknowns per system: above the helper's threshold
+N = 8
 TAU = 1 / 1024
 
 needs_helper = pytest.mark.skipif(not solver._can_run_helper(),
@@ -53,7 +53,7 @@ def _shut_down():
 
 def _serving_helper():
     """The helper, started if need be."""
-    assert isinstance(solver._helper_for(4 * N * N), solver._Helper)
+    assert isinstance(solver._helper_for(), solver._Helper)
     return solver._helper
 
 
@@ -98,9 +98,18 @@ def test_advance_matches_serial_replay(case, start):
         assert solver._helper is not None and solver._helper.alive()
 
 
-def test_small_systems_stay_in_process(case, fresh_helper):
+@needs_helper
+def test_16x16_step_is_solved_in_the_helper(case, fresh_helper):
     state = initialize(case, build_uniform_mesh(16, 16))
-    advance(state, TAU, SchemeConfig(), case)
+    cfg = SchemeConfig()
+    _assert_same_bits(advance(state, TAU, cfg, case), _replay(state, TAU, cfg, case))
+    assert solver._helper is not None and solver._helper.alive()
+
+
+def test_one_usable_cpu_stays_in_process(case, start, fresh_helper, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    cfg = SchemeConfig()
+    _assert_same_bits(advance(start, TAU, cfg, case), _replay(start, TAU, cfg, case))
     assert solver._helper is None
 
 

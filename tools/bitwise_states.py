@@ -9,19 +9,22 @@ for it and for this checkout as it stands on disk, marches four
 constant-density case at 8x8, the gravity case at 16x16, two meshes one
 element thick whose vertical or horizontal interior-face group is empty
 (gravity at 1x4, constant densities at 4x1), the gravity case at 8x8 with
-Neumann sides (pressure on the right side, s_a on the top side), all with
-the saturations solved in-process, and the gravity case at 32x32 (in the
-helper process, where the machine can run it).  Each tree runs in its own
-interpreter.  Prints, per run and field (pressure, s_a, s_v), whether
-``np.array_equal`` holds, and exits 1 if any field differs.  With
-``--rtol``, prints instead the largest difference of each run and field
-relative to the parent field's largest magnitude, and exits 1 if any
-exceeds the tolerance.
+Neumann sides (pressure on the right side, s_a on the top side), and the
+gravity case at 32x32.  Each run is marched twice: once with the
+saturations solved in-process (``solver._can_run_helper`` patched to
+False) and once as the tree itself chooses, which is the helper process
+where the tree and the machine run it.  Each tree runs in its own
+interpreter.  Prints, per run and field (pressure, s_a, s_v), where each
+tree solved the saturations and whether ``np.array_equal`` holds, and
+exits 1 if any field differs.  With ``--rtol``, prints instead the largest
+difference of each run and field relative to the parent field's largest
+magnitude, and exits 1 if any exceeds the tolerance.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import subprocess
 import sys
@@ -34,9 +37,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 from ab_pairs import export_tree  # noqa: E402
 
-# the helper, once started, lives on, so the in-process runs come first
 RUNS = (("constant_densities", 8, 8), ("gravity", 16, 16), ("gravity", 1, 4),
         ("constant_densities", 4, 1), ("gravity_neumann", 8, 8), ("gravity", 32, 32))
+MODES = ("in-process", "default")
 STEPS = 4
 TAU = 1 / 64
 FIELDS = ("pressure", "sat_a", "sat_v")
@@ -58,22 +61,31 @@ def build_case(name):
     return case_by_name(name)
 
 
+can_run_helper = solver._can_run_helper
 out = {}
-for name, nx, ny in RUNS:
-    case = build_case(name)
-    state = solver.initialize(case, build_uniform_mesh(nx, ny))
-    for _ in range(STEPS):
-        state = solver.advance(state, TAU, SchemeConfig(), case)
-    for field in FIELDS:
-        out[f"{name}_{nx}x{ny}_{field}"] = getattr(state, field).coeffs
-    out[f"{name}_{nx}x{ny}_helper"] = np.array(getattr(solver, "_helper", None) is not None)
+for mode in MODES:
+    for name, nx, ny in RUNS:
+        # a helper left from the previous run would hide where this one ran
+        if solver._helper is not None:
+            solver._helper.close()
+            solver._helper = None
+        solver._can_run_helper = can_run_helper if mode == "default" else lambda: False
+        case = build_case(name)
+        state = solver.initialize(case, build_uniform_mesh(nx, ny))
+        for _ in range(STEPS):
+            state = solver.advance(state, TAU, SchemeConfig(), case)
+        key = f"{mode}_{name}_{nx}x{ny}"
+        for field in FIELDS:
+            out[f"{key}_{field}"] = getattr(state, field).coeffs
+        out[f"{key}_helper"] = np.array(solver._helper is not None)
 np.savez(sys.argv[1], **out)
 """
 
 
 def march(tree: Path, dest: Path) -> dict:
     """Final states of every run in ``RUNS``, computed from ``tree``'s sources."""
-    code = f"RUNS = {RUNS!r}; STEPS = {STEPS}; TAU = {TAU!r}; FIELDS = {FIELDS!r}\n" + MARCH
+    code = (f"RUNS = {RUNS!r}; MODES = {MODES!r}; STEPS = {STEPS}; TAU = {TAU!r}; "
+            f"FIELDS = {FIELDS!r}\n" + MARCH)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     subprocess.run([sys.executable, "-c", code, str(dest)], cwd=tree, env=env, check=True)
     with np.load(dest) as data:
@@ -93,11 +105,13 @@ def main(argv=None) -> int:
         parent = march(parent_tree, Path(tmp) / "parent.npz")
         change = march(ROOT, Path(tmp) / "change.npz")
 
-    print(f"parent {commit} against the working tree, {STEPS} steps of tau = {TAU}")
+    print(f"parent {commit} against the working tree, {STEPS} steps of tau = {TAU}; "
+          "saturations solved in (parent/change)")
     same = True
-    for name, nx, ny in RUNS:
-        key = f"{name}_{nx}x{ny}"
-        where = "helper" if change[key + "_helper"] else "in-process"
+    for mode, (name, nx, ny) in itertools.product(MODES, RUNS):
+        key = f"{mode}_{name}_{nx}x{ny}"
+        where = "/".join("helper" if side[key + "_helper"] else "in-process"
+                         for side in (parent, change))
         for field in FIELDS:
             a, b = parent[f"{key}_{field}"], change[f"{key}_{field}"]
             if args.rtol is None:
@@ -108,7 +122,7 @@ def main(argv=None) -> int:
                 ok = rel <= args.rtol
                 verdict = f"max rel diff {rel:.3e} {'within' if ok else 'BEYOND'} {args.rtol:g}"
             same &= ok
-            print(f"{name:20s} {nx:3d}x{ny:<3d} {where:10s} {field:8s} {verdict}")
+            print(f"{name:20s} {nx:3d}x{ny:<3d} {where:21s} {field:8s} {verdict}")
     return 0 if same else 1
 
 

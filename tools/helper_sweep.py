@@ -1,16 +1,17 @@
 """Step times with and without the saturation helper, over mesh sizes.
 
-    python3 tools/helper_sweep.py --sizes 16 20 24 28 32 --reps 3
+    python3 tools/helper_sweep.py --sizes 4 8 16 32 --reps 3
 
-Measures where ``solver.HELPER_MIN_UNKNOWNS`` should sit.  For each size
-n, the gravity case is stepped at tau = 1/n^2 once with every saturation
-system sent to the helper and once with none, each run in a new
-interpreter with single-threaded BLAS; the first ``--warmup`` steps (the
-helper's start among them) are not timed.  Repetitions alternate which
+Measures what the saturation helper gains or costs at each mesh size.
+For each size n, the gravity case is stepped at tau = 1/n^2 once as
+``advance`` chooses (the helper, where the machine can run it) and once in
+this process (``solver._can_run_helper`` patched to False), each run in a
+new interpreter with single-threaded BLAS; the first ``--warmup`` steps
+(the helper's start among them) are not timed.  Repetitions alternate which
 mode runs first.  Prints, per size, each mode's median and 95th
 percentile step per run, the ratio of the helper's to the in-process
-median (taken over runs) and in how many runs the helper had the lower
-95th percentile.
+median (taken over runs), in how many runs the helper had the lower 95th
+percentile, and in how many the helper did run.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ def one_run(n: int, mode: str, steps: int, warmup: int) -> dict:
     from dgflow.manufactured import gravity_case
     from dgflow.mesh import build_uniform_mesh
 
-    solver.HELPER_MIN_UNKNOWNS = 0 if mode == "helper" else sys.maxsize
+    if mode == "in-process":
+        solver._can_run_helper = lambda: False
     case, cfg = gravity_case(), SchemeConfig()
     state = solver.initialize(case, build_uniform_mesh(n, n))
     ms = []
@@ -44,12 +46,13 @@ def one_run(n: int, mode: str, steps: int, warmup: int) -> dict:
         state = solver.advance(state, 1 / n**2, cfg, case)
         ms.append((time.perf_counter() - t) * 1e3)
     ms = ms[warmup:]
-    return {"p50": float(np.percentile(ms, 50)), "p95": float(np.percentile(ms, 95))}
+    return {"p50": float(np.percentile(ms, 50)), "p95": float(np.percentile(ms, 95)),
+            "in_helper": solver._helper is not None}
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--sizes", type=int, nargs="+", default=[16, 20, 24, 28, 32])
+    ap.add_argument("--sizes", type=int, nargs="+", default=[4, 8, 16, 20, 24, 28, 32])
     ap.add_argument("--reps", type=int, default=3)
     ap.add_argument("--steps", type=int, default=40)
     ap.add_argument("--warmup", type=int, default=3)
@@ -81,7 +84,8 @@ def main() -> None:
               f"p95 {[round(r['p95'], 1) for r in own]}  "
               f"helper p50 {[round(r['p50'], 1) for r in helper]} "
               f"p95 {[round(r['p95'], 1) for r in helper]}  "
-              f"ratio {ratio:.3f}  p95 won {p95_won}/{len(helper)}", flush=True)
+              f"ratio {ratio:.3f}  p95 won {p95_won}/{len(helper)}  "
+              f"in the helper {sum(r['in_helper'] for r in helper)}/{len(helper)}", flush=True)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Interior-penalty DG solver for incompressible three-phase porous-media flow."""
 
-from .mesh import Mesh, Face, Element, build_uniform_mesh
-from .dg_core import (DGField, QuadratureRule, jump, weighted_average,
-                      l2_project, l2_error, coercivity_norm, star_norm)
+from .mesh import Mesh, Face, build_uniform_mesh
+from .dg_core import (DGField, QuadratureRule, jump, l2_project, l2_error,
+                      coercivity_norm, star_norm)
 from .physics import (FluidProperties, SaturationPair, clamp, mobilities,
                       relative_permeabilities, capillary_pressure_a,
                       capillary_pressure_v)
@@ -10,7 +10,7 @@ from .manufactured import (ManufacturedCase, constant_densities_case,
                            gravity_case, case_by_name)
 from .assembly import (SchemeConfig, LinearSystem, RTField, harmonic_penalty,
                        assemble_pressure, assemble_aqueous, assemble_vapor,
-                       rt0_project, upwind_value, apply_dirichlet,
+                       rt0_project, apply_dirichlet,
                        check_coercivity_threshold)
 from .solver import (PhaseState, TimeConfig, ErrorReport, solve_linear,
                      initialize, advance, run)

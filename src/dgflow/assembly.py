@@ -8,9 +8,9 @@ reconstructed from the pressure solve.  Dirichlet values are imposed
 strongly on nodal DOFs.
 
 Nonlinear coefficients are lagged: they are evaluated from the previous
-time level once per step (volume quadrature points; face-midpoint traces
-per side for penalties, averaging weights and upwinding) and shared by
-all three systems.
+time level once per step, at the volume and face quadrature points, and
+shared by all three systems.  The middle face point is the edge
+midpoint, which fixes the penalties, averaging weights and upwinding.
 
 Kernels.  Every mesh caches, in :func:`_groups`, the quadrature tables
 that do not depend on the state: per interior-face group the jump traces
@@ -50,9 +50,9 @@ import scipy.linalg
 import scipy.sparse as sps
 
 from . import physics
-from .dg_core import DGField, EDGE_NODES, EDGE_NORMALS, tables
+from .dg_core import DGField, EDGE_NODES, EDGE_NORMALS, FACE_POINTS, tables
 from .manufactured import NonFiniteFieldError
-from .mesh import Mesh, Face, LEFT, RIGHT, BOTTOM, TOP, SIDE_NAMES
+from .mesh import Mesh, LEFT, RIGHT, BOTTOM, TOP, SIDE_NAMES
 
 
 class NonPositiveCoefficientError(RuntimeError):
@@ -66,32 +66,36 @@ class ConflictingConstraintError(ValueError):
 #: the implicit equations by the suffix of their names (``theta_a``, ``sat_a``)
 EQUATIONS = {"p": "pressure", "a": "aqueous", "v": "vapor"}
 
+#: the column of the face quadrature points that is the edge midpoint
+MID = FACE_POINTS // 2
+
 
 @dataclass(frozen=True)
 class SchemeConfig:
     """Interior-penalty variant switches and penalty constants.
 
     ``theta_* = -1, 0, 1`` select the symmetric, incomplete and
-    nonsymmetric variants.  Penalties may be scalars or per-face arrays
-    indexed by global face id.  For ``theta != 1`` the penalty must exceed
-    the advisory coercivity threshold (see
-    :func:`check_coercivity_threshold`).
+    nonsymmetric variants; the penalty constants ``alpha_*`` are positive
+    scalars.  For ``theta != 1`` the penalty must exceed the advisory
+    coercivity threshold (see :func:`check_coercivity_threshold`).
     """
 
     theta_p: int = 1
     theta_a: int = 1
     theta_v: int = 1
-    alpha_p: float | np.ndarray = 1.0
-    alpha_a: float | np.ndarray = 1.0
-    alpha_v: float | np.ndarray = 1.0
+    alpha_p: float = 1.0
+    alpha_a: float = 1.0
+    alpha_v: float = 1.0
 
     def __post_init__(self):
-        for equation in EQUATIONS.values():
+        for key, equation in EQUATIONS.items():
             theta, alpha = self.variant(equation)
             if theta not in (-1, 0, 1):
-                raise ValueError(f"theta must be -1, 0 or 1, got {theta}")
-            if np.any(np.asarray(alpha) <= 0):
-                raise ValueError("penalty constants must be positive")
+                raise ValueError(f"theta_{key} must be -1, 0 or 1, got {theta}")
+            if np.ndim(alpha) != 0:
+                raise ValueError(f"alpha_{key} must be a scalar")
+            if alpha <= 0:
+                raise ValueError(f"alpha_{key} must be positive, got {alpha}")
 
     def variant(self, equation: str):
         """``(theta, alpha)`` of ``equation``: 'pressure', 'aqueous' or 'vapor'."""
@@ -283,11 +287,11 @@ class LaggedCoefficients:
     """Closure coefficients of one lagged state.
 
     ``vol`` holds the closures at the 3x3 quadrature points of every
-    element.  Each interior-face side (``face[key]``, a pair per group)
-    holds them at two point sets: ``mid``, the midpoint, which fixes the
-    averaging weights, penalties and upwind selectors, and ``q``, the face
-    quadrature points, for the face integrands themselves.  All three come
-    from :func:`_closures`.
+    element, and ``face[key]`` a pair per interior group, one per side, at
+    the face quadrature points.  The middle column of a side
+    (:data:`MID`, the edge midpoint) fixes the averaging weights,
+    penalties and upwind selectors.  All of them come from
+    :func:`_closures`.
     """
 
     def __init__(self, mesh: Mesh, fluids: physics.FluidProperties,
@@ -297,28 +301,17 @@ class LaggedCoefficients:
         self.fluids = fluids
         self.sat_a_field = sat_a
         self.sat_v_field = sat_v
-        self.kappa = np.broadcast_to(
-            np.asarray(fluids.permeability, dtype=float), (mesh.n_elements,))
-        self.vol = _closures(sat_a.coeffs @ t.phi, sat_v.coeffs @ t.phi, fluids,
-                             self.kappa[:, None])
+        self.vol = _closures(sat_a.coeffs @ t.phi, sat_v.coeffs @ t.phi, fluids)
         self.grad_sa = (sat_a.coeffs @ t.gx, sat_a.coeffs @ t.gy)
         self.grad_sv = (sat_v.coeffs @ t.gx, sat_v.coeffs @ t.gy)
-        self.face = {g.key: (self._side(t, g.k1, g.e1), self._side(t, g.k2, g.e2))
-                     for g in _groups(mesh).interior}
-
-    def _side(self, t, elems, edge):
-        sa, sv = self.sat_a_field.coeffs[elems], self.sat_v_field.coeffs[elems]
-        kappa = self.kappa[elems]
-        return SimpleNamespace(
-            mid=_closures(sa @ t.trace_phi_mid[edge], sv @ t.trace_phi_mid[edge],
-                          self.fluids, kappa),
-            q=_closures(sa @ t.trace_phi[edge], sv @ t.trace_phi[edge],
-                        self.fluids, kappa[:, None]))
+        self.face = {g.key: tuple(
+            _closures(sat_a.coeffs[k] @ t.trace_phi[e], sat_v.coeffs[k] @ t.trace_phi[e],
+                      fluids) for k, e in ((g.k1, g.e1), (g.k2, g.e2)))
+            for g in _groups(mesh).interior}
 
 
-def _closures(sa, sv, fluids, kappa) -> SimpleNamespace:
-    """The clamped closures at one point set, with the permeability
-    ``kappa`` in the shape that broadcasts against them.
+def _closures(sa, sv, fluids) -> SimpleNamespace:
+    """The clamped closures at one point set, with the permeability.
 
     The closures are looked up on :mod:`physics` at each call, so that a
     patched closure is seen everywhere.
@@ -327,7 +320,7 @@ def _closures(sa, sv, fluids, kappa) -> SimpleNamespace:
     mob = physics.mobilities(s, fluids)
     _, dpcv = physics.capillary_pressure_v(s.s_v)
     _, dpca, dpca_plus = physics.capillary_pressure_a(s.s_a)
-    return SimpleNamespace(kappa=kappa, mob=mob, dpcv=dpcv, dpca=dpca,
+    return SimpleNamespace(kappa=fluids.permeability, mob=mob, dpcv=dpcv, dpca=dpca,
                            dpca_plus=dpca_plus)
 
 
@@ -344,32 +337,27 @@ def _diffusivity(c: SimpleNamespace, equation: str):
 
 # -- generic matrix pieces ---------------------------------------------------
 
-def _alpha_on(alpha, fids):
-    a = np.asarray(alpha, dtype=float)
-    return a[fids] if a.ndim else np.full(len(fids), float(a))
-
-
-def _face_weights(s1, s2, equation, alpha, fids):
-    """The interior-face rule of one equation, from its midpoint
-    diffusivity traces: the averaging weights ``(o1, o2)`` and the scaled
-    jump penalty ``alpha * eta`` of each face.  The pressure form and the
-    RT0 projection share it, so the projected flux is the form's flux."""
-    A1 = _diffusivity(s1.mid, equation)
-    A2 = _diffusivity(s2.mid, equation)
+def _face_weights(A1, A2, equation, alpha):
+    """The interior-face rule of one equation, from its diffusivity traces
+    at the face points: the averaging weights ``(o1, o2)`` and the scaled
+    jump penalty ``alpha * eta`` of each face, all from the midpoints.  The
+    pressure form and the RT0 projection share it, so the projected flux is
+    the form's flux."""
+    A1, A2 = A1[:, MID], A2[:, MID]
     lo = min(A1.min(initial=np.inf), A2.min(initial=np.inf))
     if lo <= 0.0:
         raise NonPositiveCoefficientError(
             f"non-positive {equation} face diffusivity {lo}; "
             "saturation clamping failed")
     o1, o2 = _average_weights(A1, A2)
-    return o1, o2, _alpha_on(alpha, fids) * harmonic_penalty(A1, A2)
+    return o1, o2, alpha * harmonic_penalty(A1, A2)
 
 
 def _face_average(w1, w2, f1, f2):
     """Weighted face average of two one-sided products: the weights come
-    from the midpoint traces ``w1, w2``, and each side's factors ``f1``,
-    ``f2`` multiply its weight left to right."""
-    o1, o2 = _average_weights(w1, w2)
+    from the midpoints of the traces ``w1, w2``, and each side's factors
+    ``f1``, ``f2`` multiply its weight left to right."""
+    o1, o2 = _average_weights(w1[:, MID], w2[:, MID])
     return (functools.reduce(np.multiply, f1, o1[:, None])
             + functools.reduce(np.multiply, f2, o2[:, None]))
 
@@ -385,15 +373,13 @@ def _diffusion_parts(mesh, coeffs, equation, alpha, theta):
 
     for g in _groups(mesh).interior:
         n = len(g.fids)
-        s1, s2 = coeffs.face[g.key]
-        o1, o2, penalty = _face_weights(s1, s2, equation, alpha, g.fids)
+        A1, A2 = (_diffusivity(s, equation) for s in coeffs.face[g.key])
+        o1, o2, penalty = _face_weights(A1, A2, equation, alpha)
 
         # consistency term C[n, j, k] = sum_q w_q J_j {A grad phi_k . n}
         C = np.empty((n, 8, 8))
-        C[:, :, :4] = (o1[:, None] * (_diffusivity(s1.q, equation) @ g.T1.T)
-                       ).reshape(n, 8, 4)
-        C[:, :, 4:] = (o2[:, None] * (_diffusivity(s2.q, equation) @ g.T2.T)
-                       ).reshape(n, 8, 4)
+        C[:, :, :4] = (o1[:, None] * (A1 @ g.T1.T)).reshape(n, 8, 4)
+        C[:, :, 4:] = (o2[:, None] * (A2 @ g.T2.T)).reshape(n, 8, 4)
         hC = g.h[:, None, None] * C
         blocks = penalty[:, None, None] * g.JwJ - hC + theta * hC.transpose(0, 2, 1)
         data.append(blocks.ravel())
@@ -460,23 +446,22 @@ def _pressure_rhs(mesh, coeffs, case, t_next):
 
     for grp in _groups(mesh).interior:
         s1, s2 = coeffs.face[grp.key]
-        m1, m2, q1, q2 = s1.mid, s2.mid, s1.q, s2.q
         # the vapor capillary average minus the aqueous one (dpca carries its
-        # own sign), each weighted by the kappa*lam midpoint traces of its phase
+        # own sign), each weighted by the kappa*lam traces of its phase
         vapor, aqueous = (_face_average(
-            m1.kappa * getattr(m1.mob, lam), m2.kappa * getattr(m2.mob, lam),
-            (q1.kappa, getattr(q1.mob, lam), getattr(q1, dpc), sat[grp.k1] @ grp.gn1),
-            (q2.kappa, getattr(q2.mob, lam), getattr(q2, dpc), sat[grp.k2] @ grp.gn2))
+            s1.kappa * getattr(s1.mob, lam), s2.kappa * getattr(s2.mob, lam),
+            (s1.kappa, getattr(s1.mob, lam), getattr(s1, dpc), sat[grp.k1] @ grp.gn1),
+            (s2.kappa, getattr(s2.mob, lam), getattr(s2, dpc), sat[grp.k2] @ grp.gn2))
             for lam, dpc, sat in (("lam_v", "dpcv", coeffs.sat_v_field.coeffs),
                                   ("lam_a", "dpca", coeffs.sat_a_field.coeffs)))
         avg = vapor - aqueous
 
-        # gravity average, weights from the kappa*(rho lam)_t midpoint traces
+        # gravity average, weights from the kappa*(rho lam)_t traces
         gn_dot = g[0] * grp.normal[0] + g[1] * grp.normal[1]
         if gn_dot != 0.0:
             avg -= gn_dot * _face_average(
-                m1.kappa * m1.mob.rho_lam_t, m2.kappa * m2.mob.rho_lam_t,
-                (q1.kappa, q1.mob.rho_lam_t), (q2.kappa, q2.mob.rho_lam_t))
+                s1.kappa * s1.mob.rho_lam_t, s2.kappa * s2.mob.rho_lam_t,
+                (s1.kappa, s1.mob.rho_lam_t), (s2.kappa, s2.mob.rho_lam_t))
 
         _face_load(rhs, grp, avg)
 
@@ -485,14 +470,15 @@ def _pressure_rhs(mesh, coeffs, case, t_next):
 
 
 def _group_upwind(grp, s1, s2, velocity, gravity, rho, lam):
-    """Per-face upwind side mask (True = k1) from the midpoint selector of
-    the mobility named ``lam``; also the fluxes, g . n and both rho kappa lam."""
-    m1, m2 = s1.mid, s2.mid
-    d1, d2 = getattr(m1.mob, lam), getattr(m2.mob, lam)
-    dg1, dg2 = rho * m1.kappa * d1, rho * m2.kappa * d2
+    """Per-face upwind side mask (True = k1) from the selector of the
+    mobility named ``lam`` at the face midpoints, {D u + D^g g} . n >= 0, so
+    a tie goes to k1; also the fluxes, g . n and both rho kappa lam traces."""
+    d1, d2 = getattr(s1.mob, lam), getattr(s2.mob, lam)
+    dg1, dg2 = rho * s1.kappa * d1, rho * s2.kappa * d2
     flux = velocity.fluxes[grp.fids]
     gn_dot = gravity[0] * grp.normal[0] + gravity[1] * grp.normal[1]
-    selector = 0.5 * (d1 + d2) * flux + 0.5 * (dg1 + dg2) * gn_dot
+    selector = (0.5 * (d1[:, MID] + d2[:, MID]) * flux
+                + 0.5 * (dg1[:, MID] + dg2[:, MID]) * gn_dot)
     return selector >= 0.0, flux, gn_dot, (dg1, dg2)
 
 
@@ -527,13 +513,13 @@ def _saturation_rhs(mesh, coeffs, case, t_next, tau, velocity, phase, sat_prev,
         s1, s2 = coeffs.face[grp.key]
         mask, flux, gn_dot, (dg1, dg2) = _group_upwind(grp, s1, s2, velocity, g,
                                                        rho, lam)
-        d1q, d2q = getattr(s1.q.mob, lam), getattr(s2.q.mob, lam)
+        d1, d2 = getattr(s1.mob, lam), getattr(s2.mob, lam)
 
         # upwind side is a per-face choice; its coefficient trace varies
-        integrand = np.where(mask[:, None], d1q, d2q) * flux[:, None]
+        integrand = np.where(mask[:, None], d1, d2) * flux[:, None]
         if gn_dot != 0.0:
-            integrand += gn_dot * rho * _face_average(dg1, dg2, (s1.q.kappa, d1q),
-                                                      (s2.q.kappa, d2q))
+            integrand += gn_dot * rho * _face_average(dg1, dg2, (s1.kappa, d1),
+                                                      (s2.kappa, d2))
 
         _face_load(rhs, grp, -integrand)
 
@@ -740,15 +726,16 @@ def rt0_project(p_new: DGField, state, mesh, cfg,
     t = tables(mesh)
     w = t.face_w
     alpha = cfg.variant("pressure")[1]
+    kappa = coeffs.fluids.permeability
     fluxes = np.zeros(mesh.n_faces)
 
     for grp in _groups(mesh).interior:
-        s1, s2 = coeffs.face[grp.key]
-        o1, o2, penalty = _face_weights(s1, s2, "pressure", alpha, grp.fids)
+        o1, o2, penalty = _face_weights(
+            *(_diffusivity(s, "pressure") for s in coeffs.face[grp.key]), "pressure", alpha)
 
         gn1 = p_new.coeffs[grp.k1] @ grp.gn1
         gn2 = p_new.coeffs[grp.k2] @ grp.gn2
-        avg = (o1 * s1.mid.kappa)[:, None] * gn1 + (o2 * s2.mid.kappa)[:, None] * gn2
+        avg = (o1 * kappa)[:, None] * gn1 + (o2 * kappa)[:, None] * gn2
         jump_p = p_new.coeffs[grp.k1] @ grp.tr1 - p_new.coeffs[grp.k2] @ grp.tr2
         fluxes[grp.fids] = -avg @ w + (penalty / grp.h) * (jump_p @ w)
 
@@ -756,23 +743,9 @@ def rt0_project(p_new: DGField, state, mesh, cfg,
         bg = _groups(mesh).boundary[side]
         gn = (p_new.coeffs[bg.elems] @ t.trace_gx[bg.edge]) * bg.normal[0] \
             + (p_new.coeffs[bg.elems] @ t.trace_gy[bg.edge]) * bg.normal[1]
-        fluxes[bg.fids] = -coeffs.kappa[bg.elems] * (gn @ w)
+        fluxes[bg.fids] = -kappa * (gn @ w)
 
     return RTField(mesh, fluxes)
-
-
-def upwind_value(face: Face, d_left, d_right, velocity: RTField,
-                 dg_left, dg_right, gravity):
-    """Upwinded face trace of an advected coefficient.
-
-    Chooses the k1 side when the plain-average advective flux
-    {D u + D^g g} . n_e is nonnegative (ties go to k1), the k2 side
-    otherwise.
-    """
-    flux = velocity.fluxes[face.id]
-    gn = gravity[0] * face.normal[0] + gravity[1] * face.normal[1]
-    selector = 0.5 * (d_left + d_right) * flux + 0.5 * (dg_left + dg_right) * gn
-    return d_left if selector >= 0.0 else d_right
 
 
 # -- coercivity thresholds ---------------------------------------------------
@@ -791,13 +764,11 @@ def sample_coefficient_bounds(fluids: physics.FluidProperties,
     """Sample the clamped closure range on a saturation grid."""
     grid = np.linspace(physics.SAT_EPS, 1.0 - physics.SAT_EPS, n)
     sa, sv = np.meshgrid(grid, grid, indexing="ij")
-    c = _closures(sa, sv, fluids, 1.0)   # kappa is applied to the extremes
-    kap_lo = float(np.min(fluids.permeability))
-    kap_hi = float(np.max(fluids.permeability))
+    c = _closures(sa, sv, fluids)
 
     def bounds(equation):
         d = _diffusivity(c, equation)
-        return (kap_lo * float(d.min()), kap_hi * float(d.max()))
+        return float(d.min()), float(d.max())
 
     return CoefficientBounds(*map(bounds, EQUATIONS.values()))
 
@@ -836,7 +807,7 @@ def check_coercivity_threshold(cfg: SchemeConfig,
         lo, hi = getattr(bounds, name)
         thr = 0.25 * (1 - theta) ** 2 * (hi / lo) ** 3 * c_tr**2
         out[name] = thr
-        if theta != 1 and np.any(np.asarray(alpha) < thr):
+        if theta != 1 and alpha < thr:
             warnings.warn(
                 f"{name} penalty {alpha} below advisory coercivity "
                 f"threshold {thr:.3g}", RuntimeWarning)

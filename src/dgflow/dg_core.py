@@ -1,11 +1,10 @@
 """Discontinuous Q1 finite element machinery on structured quad meshes.
 
-Provides the tensor-product bilinear basis, Gauss quadrature, trace
-operators (jump and weighted average), elementwise L2 projection and the
-two mesh-dependent norms used to measure DG errors: the coercivity norm
-(broken H1 seminorm plus scaled jump seminorm over interior faces) and
-its strengthened variant with elementwise normal-derivative boundary
-terms.
+Provides the tensor-product bilinear basis, Gauss quadrature, the jump
+trace operator, elementwise L2 projection and the two mesh-dependent
+norms used to measure DG errors: the coercivity norm (broken H1 seminorm
+plus scaled jump seminorm over interior faces) and its strengthened
+variant with elementwise normal-derivative boundary terms.
 
 Per-mesh lookup tables (basis and trace values at quadrature points) are
 cached in a weak dictionary keyed by the mesh object; meshes are immutable
@@ -34,10 +33,6 @@ EDGE_NORMALS = {
 
 class SingularMassMatrixError(RuntimeError):
     """Local mass matrix could not be inverted; the mesh is corrupt."""
-
-
-class DegenerateWeightsError(ValueError):
-    """Weighted average requested with non-positive weight sum."""
 
 
 # -- reference basis ---------------------------------------------------------
@@ -179,14 +174,11 @@ class Q1Tables:
         self.trace_phi = {}
         self.trace_gx = {}
         self.trace_gy = {}
-        self.trace_phi_mid = {}
         for edge, pts in edge_points.items():
             self.trace_phi[edge] = basis_values(pts).T        # (4, nfq)
             g = basis_gradients(pts)
             self.trace_gx[edge] = g[:, :, 0].T / dx
             self.trace_gy[edge] = g[:, :, 1].T / dy
-            mid = pts.mean(axis=0)
-            self.trace_phi_mid[edge] = basis_values(mid)      # (4,)
 
         self.elem_dofs = (4 * np.arange(mesh.n_elements)[:, None]
                           + np.arange(4)[None, :])
@@ -252,20 +244,6 @@ def _side_traces(field: DGField, face: Face, s):
         pt = pt1 if sign > 0 else pt2
         return evaluate(field, face.k1, pt), None
     return evaluate(field, face.k1, pt1), evaluate(field, face.k2, pt2)
-
-
-def weighted_average(a1, a2, A1, A2):
-    """Coefficient-weighted face average ``w1*a1 + w2*a2``.
-
-    The weights are ``w1 = A2/(A1+A2)`` and ``w2 = A1/(A1+A2)``; equal
-    coefficients reduce to the arithmetic mean.
-    """
-    A1 = np.asarray(A1, dtype=float)
-    A2 = np.asarray(A2, dtype=float)
-    denom = A1 + A2
-    if np.any(denom <= 0.0):
-        raise DegenerateWeightsError("weight sum A1 + A2 must be positive")
-    return (A2 * np.asarray(a1) + A1 * np.asarray(a2)) / denom
 
 
 # -- projection and norms ----------------------------------------------------

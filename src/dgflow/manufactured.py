@@ -21,12 +21,11 @@ from functools import cached_property, partial
 import numpy as np
 import sympy as sp
 
+from .mesh import SIDE_NAMES
 from .physics import (FluidProperties, SaturationPair, capillary_derivatives,
                       mobilities, mobility_partials)
 
 _T, _X, _Y = sp.symbols("t x y", real=True)
-
-ALL_SIDES = ("left", "right", "bottom", "top")
 
 #: the unknowns of the scheme, in solve order
 UNKNOWNS = ("pressure", "sat_a", "sat_v")
@@ -188,8 +187,7 @@ class ManufacturedCase:
     name : str
         Scenario label used by the study harness.
     fluids : FluidProperties
-        Constant fluid/rock data including the gravity vector; the
-        permeability must be a scalar.
+        Constant fluid/rock data including the gravity vector.
     pressure, sat_a, sat_v : str or sympy expression
         Closed-form exact fields in the symbols ``t, x, y``; each field and
         each derivative the sources need must be real-valued.
@@ -202,13 +200,10 @@ class ManufacturedCase:
     def __init__(self, name: str, fluids: FluidProperties,
                  pressure=PRESSURE_EXPR, sat_a=SAT_A_EXPR, sat_v=SAT_V_EXPR,
                  dirichlet_sides: dict | None = None):
-        if np.ndim(fluids.permeability) != 0:
-            raise ValueError("manufactured cases need a scalar permeability")
         self.name = name
         self.fluids = fluids
-        self._kappa = float(np.asarray(fluids.permeability))
         sides = dirichlet_sides or {}
-        self.dirichlet_sides = {u: tuple(sides.get(u, ALL_SIDES)) for u in UNKNOWNS}
+        self.dirichlet_sides = {u: tuple(sides.get(u, SIDE_NAMES)) for u in UNKNOWNS}
 
         # atoms: value, d/dx, d/dy, d2/dx2, d2/dy2 of each field, d/dt s_a, d/dt s_v
         atoms, labels = [], []
@@ -257,7 +252,7 @@ class ManufacturedCase:
                     dP, ddP = dP + dpc * s_j[d], ddP + (d2pc * s_j[d] ** 2 + dpc * s_j[d + 2])
                 drive.append(dP - rho * g)
                 div = div + sum(c * s_k[d] for c, s_k in partials) * drive[-1] + lam_j * ddP
-            out[j] = self._kappa * lam_j, drive, self._kappa * div
+            out[j] = f.permeability * lam_j, drive, f.permeability * div
         return out
 
     def _source(self, phases):

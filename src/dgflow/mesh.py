@@ -40,15 +40,6 @@ class Face:
     tag: str | None        # boundary side name, None for interior faces
 
 
-@dataclass(frozen=True)
-class Element:
-    """Record view of one mesh element."""
-
-    id: int
-    vertices: np.ndarray   # (4, 2) corners, x-fastest: (0,0),(1,0),(0,1),(1,1)
-    diameter: float        # cell diagonal
-
-
 class Mesh:
     """Uniform rectangular grid of ``nx * ny`` quadrilateral elements.
 
@@ -195,14 +186,6 @@ class Mesh:
             midpoint=self.face_midpoint[fid],
             tag=SIDE_NAMES[tag] if tag >= 0 else None,
         )
-
-    def element(self, eid: int) -> Element:
-        ox, oy = self.elem_origin[eid]
-        verts = np.array([
-            [ox, oy], [ox + self.dx, oy],
-            [ox, oy + self.dy], [ox + self.dx, oy + self.dy],
-        ])
-        return Element(id=int(eid), vertices=verts, diameter=self.h)
 
     @cached_property
     def node_coords(self) -> np.ndarray:

@@ -31,9 +31,9 @@ class FluidProperties:
 
     Viscosities are constant per phase (the general pressure/saturation
     dependence is not instantiated here); densities are constant
-    (incompressible phases).  ``permeability`` may be a scalar or a
-    per-element array (piecewise constant).  Defaults match the
-    verification scenarios shipped with the package.
+    (incompressible phases); ``permeability`` is one scalar for the whole
+    domain.  Defaults match the verification scenarios shipped with the
+    package.
     """
 
     mu_l: float = 0.75
@@ -43,7 +43,7 @@ class FluidProperties:
     rho_v: float = 1.0
     rho_a: float = 5.0
     porosity: float = 0.2
-    permeability: float | np.ndarray = 1.0
+    permeability: float = 1.0
     gravity: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
@@ -51,7 +51,9 @@ class FluidProperties:
             raise ValueError("viscosities must be positive")
         if not (0.0 < self.porosity <= 1.0):
             raise ValueError("porosity must lie in (0, 1]")
-        if np.any(np.asarray(self.permeability) <= 0):
+        if np.ndim(self.permeability) != 0:
+            raise ValueError("permeability must be a scalar")
+        if self.permeability <= 0:
             raise ValueError("permeability must be positive")
 
     @property

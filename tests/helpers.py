@@ -11,8 +11,6 @@ from dgflow.mesh import SIDE_NAMES
 from dgflow.physics import PCA_SCALE, PCV_SCALE, FluidProperties
 from dgflow.solver import PhaseState
 
-ALL_SIDES = tuple(SIDE_NAMES)
-
 
 def _const(value):
     def fn(t, x, y):
@@ -44,9 +42,9 @@ class StubCase:
         self.source_liquid = q_l or _const(0.0)
         sides = dict(dirichlet_sides or {})
         self.dirichlet_sides = {
-            "pressure": tuple(sides.get("pressure", ALL_SIDES)),
-            "sat_a": tuple(sides.get("sat_a", ALL_SIDES)),
-            "sat_v": tuple(sides.get("sat_v", ALL_SIDES)),
+            "pressure": tuple(sides.get("pressure", SIDE_NAMES)),
+            "sat_a": tuple(sides.get("sat_a", SIDE_NAMES)),
+            "sat_v": tuple(sides.get("sat_v", SIDE_NAMES)),
         }
         self.neumann_data = dict(neumann or {})
 
@@ -56,16 +54,17 @@ class StubCase:
         return self.neumann_data[unknown](t, x, y, normal)
 
 
-def eval_basis(element, reference_point):
-    """Basis values and physical gradients of one element at a reference point.
+def eval_basis(dx, dy, reference_point):
+    """Basis values and physical gradients of a ``dx`` by ``dy`` cell at a
+    reference point.
 
     Returns ``(values, gradients)`` with shapes (4,) and (4, 2); the
     gradients are mapped through the (diagonal) affine cell map.
     """
     pt = np.asarray(reference_point, dtype=float)
     grads = dg_core.basis_gradients(pt).copy()
-    grads[..., 0] /= element.vertices[1, 0] - element.vertices[0, 0]
-    grads[..., 1] /= element.vertices[2, 1] - element.vertices[0, 1]
+    grads[..., 0] /= dx
+    grads[..., 1] /= dy
     return dg_core.basis_values(pt), grads
 
 
@@ -151,7 +150,7 @@ def rt_moments_oracle(mesh, p, coeffs, cfg, rule=None):
     normal flux times the face length), one face at a time with the
     generic trace operators and the reference basis."""
     rule = rule or gauss_1d(3)
-    kappa = coeffs.kappa
+    kappa = coeffs.fluids.permeability
     out = np.zeros(mesh.n_faces)
     for fid in range(mesh.n_faces):
         face = mesh.face(fid)
@@ -164,7 +163,7 @@ def rt_moments_oracle(mesh, p, coeffs, cfg, rule=None):
             return list(zip((face.k1, face.k2), pts))
 
         def normal_gradient(elem, pt):
-            _, grads = eval_basis(mesh.element(elem), pt)
+            _, grads = eval_basis(mesh.dx, mesh.dy, pt)
             return (p.coeffs[elem] @ grads) @ n
 
         total = 0.0
@@ -172,17 +171,18 @@ def rt_moments_oracle(mesh, p, coeffs, cfg, rule=None):
             pick = 0 if (n[0] + n[1]) > 0 else 1
             for s, w in zip(rule.points, rule.weights):
                 _, pt = sides(s)[pick]
-                total += w * (-kappa[face.k1] * normal_gradient(face.k1, pt))
+                total += w * (-kappa * normal_gradient(face.k1, pt))
             out[fid] = total * face.length
             continue
-        A1, A2 = (kappa[elem] * float(physics.mobilities(physics.clamp(
+        A1, A2 = (kappa * float(physics.mobilities(physics.clamp(
             evaluate(coeffs.sat_a_field, elem, mid), evaluate(coeffs.sat_v_field, elem, mid)),
             coeffs.fluids).lam_t) for elem, mid in sides(0.5))
         eta = harmonic_penalty(A1, A2)
         for s, w in zip(rule.points, rule.weights):
             (k1, pt1), (k2, pt2) = sides(s)
-            avg = dg_core.weighted_average(kappa[k1] * normal_gradient(k1, pt1),
-                                           kappa[k2] * normal_gradient(k2, pt2), A1, A2)
+            # weights A2/(A1+A2) on the k1 side, A1/(A1+A2) on the k2 side
+            avg = (A2 * kappa * normal_gradient(k1, pt1)
+                   + A1 * kappa * normal_gradient(k2, pt2)) / (A1 + A2)
             total += w * (-avg + cfg.alpha_p * eta / face.length * jump(p, face, s))
         out[fid] = total * face.length
     return out
@@ -197,7 +197,7 @@ def symbolic_sources(fluids, pressure, sat_a, sat_v):
     and ``fluxes`` with keys pressure, sat_a and sat_v, each an (x, y) pair.
     """
     p, sa, sv = (_as_expr(e) for e in (pressure, sat_a, sat_v))
-    kappa = float(np.asarray(fluids.permeability))
+    kappa = fluids.permeability
     gx, gy = (float(c) for c in fluids.gravity)
 
     sl = 1 - sa - sv

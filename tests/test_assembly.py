@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from dgflow.assembly import (CoefficientBounds, ConflictingConstraintError,
                              assemble_aqueous, assemble_pressure,
                              assemble_vapor, check_coercivity_threshold,
                              dirichlet_constraints, form_matrix, harmonic_penalty,
-                             reference_trace_constant, rt0_project, upwind_value)
+                             reference_trace_constant, rt0_project)
 from dgflow.dg_core import DGField, evaluate, tables
 from dgflow.manufactured import constant_densities_case, gravity_case
 from dgflow.mesh import build_uniform_mesh
@@ -347,15 +348,16 @@ def test_rt0_normal_trace_single_valued():
 # -- upwinding -------------------------------------------------------------------
 
 def test_upwind_value_selector():
+    # without gravity the sign of the flux picks the side; a tie goes to k1
     mesh = build_uniform_mesh(2, 1)
-    face = mesh.face(mesh.interior_faces[0])
+    grp, = (g for g in assembly._groups(mesh).interior if len(g.fids))
+    side1, side2 = (SimpleNamespace(kappa=1.0, mob=SimpleNamespace(
+        lam_a=np.full((1, dg_core.FACE_POINTS), lam))) for lam in (3.0, 7.0))
     up = RTField(mesh, np.zeros(mesh.n_faces))
-    up.fluxes[face.id] = 1.0
-    assert upwind_value(face, 3.0, 7.0, up, 0.0, 0.0, (0.0, 0.0)) == 3.0
-    up.fluxes[face.id] = -1.0
-    assert upwind_value(face, 3.0, 7.0, up, 0.0, 0.0, (0.0, 0.0)) == 7.0
-    up.fluxes[face.id] = 0.0
-    assert upwind_value(face, 3.0, 7.0, up, 0.0, 0.0, (0.0, 0.0)) == 3.0
+    for flux, k1_side in ((1.0, True), (-1.0, False), (0.0, True)):
+        up.fluxes[grp.fids] = flux
+        mask = assembly._group_upwind(grp, side1, side2, up, (0.0, 0.0), 5.0, "lam_a")[0]
+        assert mask.tolist() == [k1_side]
 
 
 def test_upwind_matches_bruteforce_on_run():
@@ -374,7 +376,7 @@ def test_upwind_matches_bruteforce_on_run():
         s1, s2 = coeffs.face[grp.key]
         mask = assembly._group_upwind(grp, s1, s2, velocity, g, case.fluids.rho_a,
                                       "lam_a")[0]
-        lam1, lam2 = s1.mid.mob.lam_a, s2.mid.mob.lam_a
+        lam1, lam2 = s1.mob.lam_a[:, assembly.MID], s2.mob.lam_a[:, assembly.MID]
         chosen.update(zip(grp.fids, np.where(mask, lam1, lam2)))
     assert sorted(chosen) == sorted(mesh.interior_faces)
     for fid in mesh.interior_faces:
@@ -387,11 +389,11 @@ def test_upwind_matches_bruteforce_on_run():
             lam = float(physics.mobilities(s, case.fluids).lam_a)
             sides.append(lam)
         d1, d2 = sides
-        kap = np.asarray(case.fluids.permeability, dtype=float)
-        expect = upwind_value(face, d1, d2, velocity,
-                              case.fluids.rho_a * kap * d1,
-                              case.fluids.rho_a * kap * d2, g)
-        assert chosen[fid] == expect
+        dg1, dg2 = (case.fluids.rho_a * case.fluids.permeability * d for d in sides)
+        # k1 when the plain-average flux {D u + D^g g} . n is nonnegative
+        selector = (0.5 * (d1 + d2) * velocity.fluxes[fid]
+                    + 0.5 * (dg1 + dg2) * (g @ face.normal))
+        assert chosen[fid] == (d1 if selector >= 0.0 else d2)
 
 
 def _face_midpoints(mesh, face):
@@ -556,6 +558,19 @@ def test_sampled_bounds_are_positive_and_ordered():
     b = assembly.sample_coefficient_bounds(FluidProperties())
     for lo, hi in (b.pressure, b.aqueous, b.vapor):
         assert 0 < lo <= hi
+
+
+def test_sampled_bounds_scale_with_permeability():
+    unit = assembly.sample_coefficient_bounds(FluidProperties())
+    scaled = assembly.sample_coefficient_bounds(FluidProperties(permeability=2.5))
+    for a, b in zip(dataclasses.astuple(unit), dataclasses.astuple(scaled)):
+        assert b == pytest.approx(tuple(2.5 * v for v in a), rel=1e-15)
+
+
+@pytest.mark.parametrize("field", ["alpha_p", "alpha_a", "alpha_v"])
+def test_array_penalty_is_refused(field):
+    with pytest.raises(ValueError, match=field):
+        SchemeConfig(**{field: np.full(4, 2.0)})
 
 
 # -- consistency under refinement -------------------------------------------------

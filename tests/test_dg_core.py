@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from dgflow import dg_core
-from dgflow.dg_core import (DGField, DegenerateWeightsError, coercivity_norm,
-                            evaluate, gauss_1d, gauss_2d, jump,
-                            jump_seminorm, l2_error, l2_project, star_norm,
-                            weighted_average)
-from dgflow.mesh import build_uniform_mesh
+from dgflow import assembly, dg_core
+from dgflow.assembly import NonPositiveCoefficientError
+from dgflow.dg_core import (FACE_POINTS, DGField, coercivity_norm, evaluate,
+                            gauss_1d, gauss_2d, jump, jump_seminorm, l2_error,
+                            l2_project, star_norm)
+from dgflow.mesh import BOTTOM, LEFT, RIGHT, TOP, build_uniform_mesh
 
 from helpers import (eval_basis, evaluate_at, face_quadrature_jumps, fine_l2_error,
                      nodal_interpolant)
@@ -20,10 +20,9 @@ def mesh22():
 # -- basis -------------------------------------------------------------------
 
 def test_lagrange_property(mesh22):
-    el = mesh22.element(0)
     nodes = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
     for i, pt in enumerate(nodes):
-        vals, _ = eval_basis(el, pt)
+        vals, _ = eval_basis(mesh22.dx, mesh22.dy, pt)
         expected = np.zeros(4)
         expected[i] = 1.0
         assert np.allclose(vals, expected)
@@ -31,10 +30,9 @@ def test_lagrange_property(mesh22):
 
 def test_partition_of_unity_and_gradient_sum(mesh22):
     rng = np.random.default_rng(7)
-    el = mesh22.element(2)
     for _ in range(100):
         pt = rng.random(2)
-        vals, grads = eval_basis(el, pt)
+        vals, grads = eval_basis(mesh22.dx, mesh22.dy, pt)
         assert abs(vals.sum() - 1.0) < 1e-14
         assert np.allclose(grads.sum(axis=0), 0.0, atol=1e-12)
 
@@ -42,8 +40,7 @@ def test_partition_of_unity_and_gradient_sum(mesh22):
 def test_gradients_are_physical(mesh22):
     # on a 2x2 unit-square mesh, d/dx of the (1,0) node function at the
     # reference center is 1/dx = 2
-    el = mesh22.element(0)
-    _, grads = eval_basis(el, (0.5, 0.5))
+    _, grads = eval_basis(mesh22.dx, mesh22.dy, (0.5, 0.5))
     assert grads[1, 0] == pytest.approx(2.0 * 0.5)  # dN1/dxi=0.5 over dx=0.5
 
 
@@ -65,6 +62,17 @@ def test_gauss_2d_monomial_exactness():
         for j in range(rule.degree + 1 - i):
             val = (rule.weights * rule.points[:, 0]**i * rule.points[:, 1]**j).sum()
             assert val == pytest.approx(1.0 / ((i + 1) * (j + 1)), abs=1e-13)
+
+
+def test_middle_face_point_is_the_edge_midpoint():
+    # assembly reads the face weights, penalties and upwind selectors from
+    # the middle face quadrature point, so it must be the midpoint exactly
+    assert gauss_1d(FACE_POINTS).points[assembly.MID] == 0.5
+    t = dg_core.tables(build_uniform_mesh(3, 2))
+    for edge, midpoint in ((LEFT, (0.0, 0.5)), (RIGHT, (1.0, 0.5)),
+                           (BOTTOM, (0.5, 0.0)), (TOP, (0.5, 1.0))):
+        assert np.array_equal(t.trace_phi[edge][:, assembly.MID],
+                              dg_core.basis_values(np.array(midpoint)))
 
 
 # -- jump / averages ---------------------------------------------------------
@@ -101,6 +109,15 @@ def test_jump_sign_of_single_element_basis(mesh22):
     assert jump(field, face, 0.4) == pytest.approx(-1.0)
 
 
+def weighted_average(a1, a2, A1, A2):
+    """assembly's weighted face average of ``a1`` and ``a2``, with the
+    weight traces ``A1`` and ``A2``, on one face."""
+    def trace(v):
+        return np.full((1, FACE_POINTS), float(v))
+    return assembly._face_average(trace(A1), trace(A2), (trace(a1),),
+                                  (trace(a2),))[0, assembly.MID]
+
+
 def test_weighted_average_values():
     assert weighted_average(1.0, 3.0, 2.0, 2.0) == pytest.approx(2.0)
     # w1 = A2/(A1+A2) = 1/4
@@ -119,8 +136,10 @@ def test_weighted_average_between_extremes():
 
 
 def test_weighted_average_degenerate():
-    with pytest.raises(DegenerateWeightsError):
-        weighted_average(1.0, 1.0, 0.0, 0.0)
+    # the face rule refuses the traces before any weight is formed
+    zero = np.zeros((1, FACE_POINTS))
+    with pytest.raises(NonPositiveCoefficientError):
+        assembly._face_weights(zero, zero, "pressure", 1.0)
 
 
 # -- projection --------------------------------------------------------------

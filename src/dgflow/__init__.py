@@ -10,8 +10,7 @@ from .manufactured import (ManufacturedCase, constant_densities_case,
                            gravity_case, case_by_name)
 from .assembly import (SchemeConfig, LinearSystem, RTField, harmonic_penalty,
                        assemble_pressure, assemble_aqueous, assemble_vapor,
-                       rt0_project, apply_dirichlet,
-                       check_coercivity_threshold)
+                       rt0_project, apply_dirichlet)
 from .solver import (PhaseState, TimeConfig, ErrorReport, solve_linear,
                      initialize, advance, run)
 

@@ -40,13 +40,11 @@ plans, keyed by exact comparison of the index arrays.
 from __future__ import annotations
 
 import functools
-import warnings
 import weakref
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sps
 
 from . import physics
@@ -76,8 +74,12 @@ class SchemeConfig:
 
     ``theta_* = -1, 0, 1`` select the symmetric, incomplete and
     nonsymmetric variants; the penalty constants ``alpha_*`` are positive
-    scalars.  For ``theta != 1`` the penalty must exceed the advisory
-    coercivity threshold (see :func:`check_coercivity_threshold`).
+    scalars.  For ``theta != 1`` the form is coercive only above a penalty
+    bound.  The tests take ``alpha >= max(1, 1.5 * (1 - theta)**2 / 4 *
+    C_tr**2)``, with the trace constant ``C_tr**2 = 4 sqrt(2)`` of square
+    cells: about 8.5 for the symmetric and 2.1 for the incomplete variant.
+    That bound holds for coefficients frozen in space; strongly varying
+    diffusivities may need more.
     """
 
     theta_p: int = 1
@@ -747,68 +749,3 @@ def rt0_project(p_new: DGField, state, mesh, cfg,
 
     return RTField(mesh, fluxes)
 
-
-# -- coercivity thresholds ---------------------------------------------------
-
-@dataclass(frozen=True)
-class CoefficientBounds:
-    """Min/max of each equation's diffusivity over the clamped range."""
-
-    pressure: tuple[float, float]
-    aqueous: tuple[float, float]
-    vapor: tuple[float, float]
-
-
-def sample_coefficient_bounds(fluids: physics.FluidProperties,
-                              n: int = 201) -> CoefficientBounds:
-    """Sample the clamped closure range on a saturation grid."""
-    grid = np.linspace(physics.SAT_EPS, 1.0 - physics.SAT_EPS, n)
-    sa, sv = np.meshgrid(grid, grid, indexing="ij")
-    c = _closures(sa, sv, fluids)
-
-    def bounds(equation):
-        d = _diffusivity(c, equation)
-        return float(d.min()), float(d.max())
-
-    return CoefficientBounds(*map(bounds, EQUATIONS.values()))
-
-
-def reference_trace_constant() -> float:
-    """Trace constant estimated on the reference cell (unit aspect ratio).
-
-    Largest generalized Rayleigh quotient of the edge-trace mass matrix
-    against the cell mass matrix, scaled for square cells whose diameter
-    is the diagonal.
-    """
-    t = tables(Mesh(1, 1))
-    mu = 0.0
-    for edge in (LEFT, RIGHT, BOTTOM, TOP):
-        tr = t.trace_phi[edge]
-        m_edge = np.einsum("iq,jq,q->ij", tr, tr, t.face_w)
-        vals = scipy.linalg.eigh(m_edge, t.mass, eigvals_only=True)
-        mu = max(mu, float(vals[-1]))
-    return float(np.sqrt(np.sqrt(2.0) * mu))
-
-
-def check_coercivity_threshold(cfg: SchemeConfig,
-                               bounds: CoefficientBounds,
-                               c_tr: float | None = None) -> dict:
-    """Advisory minimum penalty per equation.
-
-    ``0.25 (1-theta)^2 (hi/lo)^3 C_tr^2`` from the coefficient bounds; zero
-    for the nonsymmetric variant.  A warning is emitted when a configured
-    penalty sits below its threshold for theta != 1.
-    """
-    if c_tr is None:
-        c_tr = reference_trace_constant()
-    out = {}
-    for name in EQUATIONS.values():
-        theta, alpha = cfg.variant(name)
-        lo, hi = getattr(bounds, name)
-        thr = 0.25 * (1 - theta) ** 2 * (hi / lo) ** 3 * c_tr**2
-        out[name] = thr
-        if theta != 1 and alpha < thr:
-            warnings.warn(
-                f"{name} penalty {alpha} below advisory coercivity "
-                f"threshold {thr:.3g}", RuntimeWarning)
-    return out

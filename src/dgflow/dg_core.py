@@ -210,40 +210,21 @@ def tables(mesh: Mesh) -> Q1Tables:
 
 # -- trace operators ---------------------------------------------------------
 
-def jump(field_or_pair, face: Face, s=0.5):
-    """Jump across a face: trace from k1 minus trace from k2.
-
-    On boundary faces the single trace is returned.  ``field_or_pair`` is
-    either a DGField (traces are evaluated at face parameter ``s``) or a
-    pair of already-evaluated side values ``(a1, a2)``.
-    """
-    if isinstance(field_or_pair, DGField):
-        a1, a2 = _side_traces(field_or_pair, face, s)
-    else:
-        a1, a2 = field_or_pair[0], (field_or_pair[1] if face.k2 is not None else None)
-    if face.k2 is None:
-        return a1
-    return a1 - a2
-
-
-def _side_traces(field: DGField, face: Face, s):
-    """Evaluate a field on both sides of a face at parameter s in [0,1]."""
+def jump(field: DGField, face: Face, s=0.5):
+    """Jump of ``field`` across a face at face parameter(s) ``s`` in [0, 1]:
+    trace from k1 minus trace from k2.  On boundary faces the single trace
+    is returned."""
     s = np.asarray(s, dtype=float)
-    vertical = face.normal[0] != 0.0
-    if vertical:
-        e1, e2 = RIGHT, LEFT
-        pt1 = np.stack([np.ones_like(s), s], axis=-1)
-        pt2 = np.stack([np.zeros_like(s), s], axis=-1)
-    else:
-        e1, e2 = TOP, BOTTOM
-        pt1 = np.stack([s, np.ones_like(s)], axis=-1)
-        pt2 = np.stack([s, np.zeros_like(s)], axis=-1)
+    one, zero = np.ones_like(s), np.zeros_like(s)
+    if face.normal[0] != 0.0:   # vertical face: k1 on its left
+        pt1, pt2 = np.stack([one, s], axis=-1), np.stack([zero, s], axis=-1)
+    else:                       # horizontal face: k1 below it
+        pt1, pt2 = np.stack([s, one], axis=-1), np.stack([s, zero], axis=-1)
     if face.k2 is None:
-        # boundary: pick the element edge that lies on this face
-        sign = face.normal[0] + face.normal[1]
-        pt = pt1 if sign > 0 else pt2
-        return evaluate(field, face.k1, pt), None
-    return evaluate(field, face.k1, pt1), evaluate(field, face.k2, pt2)
+        # boundary: the element edge that lies on this face
+        outward = face.normal[0] + face.normal[1] > 0
+        return evaluate(field, face.k1, pt1 if outward else pt2)
+    return evaluate(field, face.k1, pt1) - evaluate(field, face.k2, pt2)
 
 
 # -- projection and norms ----------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from . import solver
 from .assembly import SchemeConfig
 from .manufactured import (UNKNOWNS, ExpressionError, ManufacturedCase,
-                           case_by_name, parse_expression)
+                           case_by_name, case_fluids, parse_expression)
 from .mesh import build_uniform_mesh
 from .physics import FluidProperties
 from .solver import TimeConfig
@@ -95,11 +95,10 @@ class RunConfig:
             fluids = FluidProperties(gravity=self.gravity or (0.0, 0.0))
             return ManufacturedCase("custom", fluids, self.pressure_expr,
                                     self.sat_a_expr, self.sat_v_expr)
-        case = case_by_name(self.case)
-        if self.gravity is not None:
-            fluids = replace(case.fluids, gravity=tuple(self.gravity))
-            case = ManufacturedCase(case.name, fluids)
-        return case
+        if self.gravity is None:
+            return case_by_name(self.case)
+        fluids = replace(case_fluids(self.case), gravity=tuple(self.gravity))
+        return ManufacturedCase(self.case, fluids)
 
 
 #: the unknowns' suffixes of ``LevelResult.err_*`` and ``ConvergenceReport.rates_*``

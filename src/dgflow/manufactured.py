@@ -318,24 +318,30 @@ class ManufacturedCase:
         return f"ManufacturedCase({self.name!r})"
 
 
+#: fluid data of the named scenarios; both use the default exact fields
+_NAMED_FLUIDS = {
+    "constant_densities": FluidProperties(),
+    "gravity": FluidProperties(gravity=(0.0, -0.1)),
+}
+
+
+def case_fluids(name: str) -> FluidProperties:
+    """Fluid data of the named scenario ``name``."""
+    try:
+        return _NAMED_FLUIDS[name]
+    except KeyError:
+        raise KeyError(f"unknown case {name!r}; known: {sorted(_NAMED_FLUIDS)}") from None
+
+
+def case_by_name(name: str) -> ManufacturedCase:
+    return ManufacturedCase(name, case_fluids(name))
+
+
 def constant_densities_case() -> ManufacturedCase:
     """Verification scenario with constant densities and no gravity."""
-    return ManufacturedCase("constant_densities", FluidProperties())
+    return case_by_name("constant_densities")
 
 
 def gravity_case() -> ManufacturedCase:
     """Same exact fields with gravity g = (0, -0.1)."""
-    return ManufacturedCase("gravity", FluidProperties(gravity=(0.0, -0.1)))
-
-
-_FACTORIES = {
-    "constant_densities": constant_densities_case,
-    "gravity": gravity_case,
-}
-
-
-def case_by_name(name: str) -> ManufacturedCase:
-    try:
-        return _FACTORIES[name]()
-    except KeyError:
-        raise KeyError(f"unknown case {name!r}; known: {sorted(_FACTORIES)}") from None
+    return case_by_name("gravity")

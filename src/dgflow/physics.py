@@ -73,16 +73,16 @@ class SaturationPair:
         object.__setattr__(self, "s_l", 1.0 - self.s_a - self.s_v)
 
 
-def clamp(s_raw_a, s_raw_v, eps: float = SAT_EPS) -> SaturationPair:
-    """Cut saturations off to [eps, 1-eps] before coefficient evaluation.
+def clamp(s_raw_a, s_raw_v) -> SaturationPair:
+    """Cut saturations off to [SAT_EPS, 1-SAT_EPS] before coefficient evaluation.
 
     The derived liquid saturation is recomputed afterwards and may fall
     outside [0, 1]; the liquid relative permeability is floored at zero to
     compensate.  Stored solution fields are never clamped, only the values
     entering the closures.
     """
-    s_a = np.clip(np.asarray(s_raw_a, dtype=float), eps, 1.0 - eps)
-    s_v = np.clip(np.asarray(s_raw_v, dtype=float), eps, 1.0 - eps)
+    s_a = np.clip(np.asarray(s_raw_a, dtype=float), SAT_EPS, 1.0 - SAT_EPS)
+    s_v = np.clip(np.asarray(s_raw_v, dtype=float), SAT_EPS, 1.0 - SAT_EPS)
     return SaturationPair(s_a, s_v)
 
 

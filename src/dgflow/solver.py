@@ -117,8 +117,8 @@ class TimeConfig:
         return cls(tau, t_final, n)
 
 
-def solve_linear(system: LinearSystem, tolerance: float = SOLVER_TOL) -> np.ndarray:
-    """Solve one constrained system to the requested relative residual.
+def solve_linear(system: LinearSystem) -> np.ndarray:
+    """Solve one constrained system to the relative residual ``SOLVER_TOL``.
 
     The solve is a direct sparse LU factorization (the systems
     are nonsymmetric for theta in {0, 1}).  Everything that depends only on
@@ -135,7 +135,7 @@ def solve_linear(system: LinearSystem, tolerance: float = SOLVER_TOL) -> np.ndar
 
     The factor is single precision, and the solution is refined against
     the double-precision matrix until the residual stops halving.  A
-    residual within ``tolerance`` is not enough: stopping there moved the
+    residual within ``SOLVER_TOL`` is not enough: stopping there moved the
     64x64 pressure error by 1.7e-7 relative after six steps, where the
     verification tables allow 1e-10; at stagnation x is as accurate as a
     double-precision factor gives it.  If the refined residual misses the
@@ -145,7 +145,7 @@ def solve_linear(system: LinearSystem, tolerance: float = SOLVER_TOL) -> np.ndar
     it, and the saturation solves that :func:`advance` hands to its helper
     process run this same code (:class:`_Factorization`).
     """
-    return _Factorization(system.matrix).solve(system.rhs, tolerance)
+    return _Factorization(system.matrix).solve(system.rhs)
 
 
 #: factor plans, one per constrained sparsity pattern
@@ -171,8 +171,8 @@ class _Factorization:
         except RuntimeError as exc:
             self.error = exc
 
-    def solve(self, b: np.ndarray, tolerance: float = SOLVER_TOL) -> np.ndarray:
-        bound = tolerance * (1.0 + np.linalg.norm(b))
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        bound = SOLVER_TOL * (1.0 + np.linalg.norm(b))
         try:
             x = self._refined(b, bound)
         except RuntimeError as exc:

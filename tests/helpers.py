@@ -1,13 +1,14 @@
 """Shared test scaffolding: case stubs, states and independent oracles."""
 
 import numpy as np
+import scipy.linalg
 import sympy as sp
 
 from dgflow import dg_core, physics
 from dgflow.assembly import LaggedCoefficients, harmonic_penalty
 from dgflow.dg_core import DGField, evaluate, gauss_1d, jump
 from dgflow.manufactured import _T, _X, _Y, _as_expr
-from dgflow.mesh import SIDE_NAMES
+from dgflow.mesh import BOTTOM, LEFT, RIGHT, SIDE_NAMES, TOP, Mesh
 from dgflow.physics import PCA_SCALE, PCV_SCALE, FluidProperties
 from dgflow.solver import PhaseState
 
@@ -66,6 +67,24 @@ def eval_basis(dx, dy, reference_point):
     grads[..., 0] /= dx
     grads[..., 1] /= dy
     return dg_core.basis_values(pt), grads
+
+
+def reference_trace_constant() -> float:
+    """Trace constant estimated on the reference cell (unit aspect ratio).
+
+    Largest generalized Rayleigh quotient of the edge-trace mass matrix
+    against the cell mass matrix, scaled for square cells whose diameter
+    is the diagonal: ``C_tr**2 = 4 sqrt(2)`` for Q1.  The patch tests pick
+    their penalties from it.
+    """
+    t = dg_core.tables(Mesh(1, 1))
+    mu = 0.0
+    for edge in (LEFT, RIGHT, BOTTOM, TOP):
+        tr = t.trace_phi[edge]
+        m_edge = np.einsum("iq,jq,q->ij", tr, tr, t.face_w)
+        vals = scipy.linalg.eigh(m_edge, t.mass, eigvals_only=True)
+        mu = max(mu, float(vals[-1]))
+    return float(np.sqrt(np.sqrt(2.0) * mu))
 
 
 def evaluate_at(field, x, y):

@@ -6,20 +6,19 @@ import pytest
 import scipy.sparse as sps
 
 from dgflow import assembly, dg_core, physics
-from dgflow.assembly import (CoefficientBounds, ConflictingConstraintError,
-                             LaggedCoefficients, NonPositiveCoefficientError,
-                             RTField, SchemeConfig, apply_dirichlet,
-                             assemble_aqueous, assemble_pressure,
-                             assemble_vapor, check_coercivity_threshold,
-                             dirichlet_constraints, form_matrix, harmonic_penalty,
-                             reference_trace_constant, rt0_project)
+from dgflow.assembly import (ConflictingConstraintError, LaggedCoefficients,
+                             NonPositiveCoefficientError, RTField, SchemeConfig,
+                             apply_dirichlet, assemble_aqueous, assemble_pressure,
+                             assemble_vapor, dirichlet_constraints, form_matrix,
+                             harmonic_penalty, rt0_project)
 from dgflow.dg_core import DGField, evaluate, tables
 from dgflow.manufactured import constant_densities_case, gravity_case
 from dgflow.mesh import build_uniform_mesh
 from dgflow.physics import FluidProperties
 from dgflow.solver import PhaseState, initialize, solve_linear
 
-from helpers import StubCase, constant_state, nodal_interpolant, rt_moments_oracle
+from helpers import (StubCase, constant_state, nodal_interpolant,
+                     reference_trace_constant, rt_moments_oracle)
 
 
 LINEAR_P = lambda t, x, y: 1.0 + x + y
@@ -93,6 +92,11 @@ def test_vapor_system_does_not_read_sat_a():
 
 
 # -- patch tests ---------------------------------------------------------------
+
+def test_reference_trace_constant_of_square_cells():
+    # the value behind the penalty guidance of SchemeConfig and the README
+    assert reference_trace_constant() ** 2 == pytest.approx(4.0 * np.sqrt(2.0), rel=1e-12)
+
 
 def _patch_alpha(theta):
     c_tr = reference_trace_constant()
@@ -522,49 +526,18 @@ def test_dirichlet_constraints_cover_boundary_nodes():
     assert np.allclose(vals, 1.0 + xy[:, 0] + xy[:, 1])
 
 
-# -- coercivity thresholds --------------------------------------------------------
-
-def test_threshold_zero_for_nipg():
-    bounds = CoefficientBounds((0.5, 2.0), (0.1, 1.0), (0.2, 0.9))
-    out = check_coercivity_threshold(NIPG, bounds)
-    assert out == {"pressure": 0.0, "aqueous": 0.0, "vapor": 0.0}
-
-
-def test_threshold_formula_ratio_one():
-    bounds = CoefficientBounds((1.0, 1.0), (1.0, 1.0), (1.0, 1.0))
-    cfg = SchemeConfig(theta_p=0, theta_a=0, theta_v=0,
-                       alpha_p=5.0, alpha_a=5.0, alpha_v=5.0)
-    out = check_coercivity_threshold(cfg, bounds, c_tr=2.0)
-    assert out["pressure"] == pytest.approx(1.0)
-
-
-def test_threshold_quadruples_for_sipg():
-    bounds = CoefficientBounds((1.0, 1.0), (1.0, 1.0), (1.0, 1.0))
-    iipg = SchemeConfig(theta_p=0, alpha_p=100.0)
-    sipg = SchemeConfig(theta_p=-1, alpha_p=100.0)
-    t0 = check_coercivity_threshold(iipg, bounds, c_tr=1.7)["pressure"]
-    t1 = check_coercivity_threshold(sipg, bounds, c_tr=1.7)["pressure"]
-    assert t1 == pytest.approx(4.0 * t0)
-
-
-def test_threshold_warns_below():
-    bounds = CoefficientBounds((1.0, 1.0), (1.0, 1.0), (1.0, 1.0))
-    cfg = SchemeConfig(theta_p=0, alpha_p=1e-6)
-    with pytest.warns(RuntimeWarning):
-        check_coercivity_threshold(cfg, bounds, c_tr=2.0)
-
-
-def test_sampled_bounds_are_positive_and_ordered():
-    b = assembly.sample_coefficient_bounds(FluidProperties())
-    for lo, hi in (b.pressure, b.aqueous, b.vapor):
-        assert 0 < lo <= hi
-
-
-def test_sampled_bounds_scale_with_permeability():
-    unit = assembly.sample_coefficient_bounds(FluidProperties())
-    scaled = assembly.sample_coefficient_bounds(FluidProperties(permeability=2.5))
-    for a, b in zip(dataclasses.astuple(unit), dataclasses.astuple(scaled)):
-        assert b == pytest.approx(tuple(2.5 * v for v in a), rel=1e-15)
+def test_forms_scale_with_permeability():
+    # every diffusivity carries kappa, the averaging weights do not see its
+    # scale and the harmonic penalty is linear in it
+    mesh = build_uniform_mesh(4, 4)
+    state = initialize(constant_densities_case(), mesh)
+    cfg = SchemeConfig(theta_p=-1, alpha_p=9.0, theta_a=0, alpha_a=3.0)
+    unit = make_coeffs(mesh, state)
+    scaled = make_coeffs(mesh, state, FluidProperties(permeability=2.5))
+    for equation in ("pressure", "aqueous", "vapor"):
+        a = form_matrix(mesh, cfg, unit, equation).data
+        b = form_matrix(mesh, cfg, scaled, equation).data
+        np.testing.assert_allclose(b, 2.5 * a, rtol=1e-13, atol=1e-13 * np.abs(a).max())
 
 
 @pytest.mark.parametrize("field", ["alpha_p", "alpha_a", "alpha_v"])

@@ -83,17 +83,14 @@ def test_jump_of_continuous_function_is_zero(mesh22):
         assert abs(jump(field, mesh22.face(fid), 0.3)) < 1e-14
 
 
-def test_jump_of_pair():
-    m = build_uniform_mesh(2, 1)
-    face = m.face(m.interior_faces[0])
-    assert jump((3.0, 1.0), face) == pytest.approx(2.0)
-
-
 def test_jump_on_boundary_returns_trace(mesh22):
-    face = mesh22.face(mesh22.boundary_by_side["left"][0])
-    assert jump((5.0, None), face) == pytest.approx(5.0)
-    field = nodal_interpolant(mesh22, lambda x, y: 5.0 + 0.0 * x)
-    assert jump(field, face, 0.5) == pytest.approx(5.0)
+    # a field that differs on every edge: the trace is read on the edge
+    # that lies on the boundary side
+    field = nodal_interpolant(mesh22, lambda x, y: 5.0 + x + 2.0 * y)
+    for side in ("left", "right", "bottom", "top"):
+        face = mesh22.face(mesh22.boundary_by_side[side][0])
+        x, y = face.midpoint
+        assert jump(field, face, 0.5) == pytest.approx(5.0 + x + 2.0 * y)
 
 
 def test_jump_sign_of_single_element_basis(mesh22):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import pathlib
@@ -11,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dgflow import harness
 from dgflow.assembly import NonPositiveCoefficientError
+from dgflow.manufactured import ManufacturedCase, gravity_case
 from dgflow.harness import (ConfigError, ConvergenceReport, LevelResult,
                             RunConfig, cli_main, convergence_study,
                             emit_report, read_config_file)
@@ -60,6 +62,34 @@ def test_gravity_override_feeds_fluids():
     cfg = small_config(gravity=(0.0, -0.05))
     case = cfg.build_case()
     assert case.fluids.gravity == (0.0, -0.05)
+
+
+def test_gravity_override_builds_the_case_once(monkeypatch):
+    builds = []
+    init = ManufacturedCase.__init__
+    monkeypatch.setattr(ManufacturedCase, "__init__",
+                        lambda self, *a, **kw: builds.append(a[0]) or init(self, *a, **kw))
+    case = small_config(case="gravity", gravity=(0.0, -0.2)).build_case()
+    assert builds == ["gravity"]
+    monkeypatch.undo()
+    # the named case with its gravity replaced, built apart: the same
+    # sources at the same points, bit for bit
+    reference = ManufacturedCase(
+        "gravity", dataclasses.replace(gravity_case().fluids, gravity=(0.0, -0.2)))
+    assert case.fluids == reference.fluids
+    x, y = np.random.default_rng(5).uniform(size=(2, 40))
+    for name in ("source_total", "source_aqueous", "source_vapor", "source_liquid"):
+        assert np.array_equal(getattr(case, name)(0.3, x, y),
+                              getattr(reference, name)(0.3, x, y))
+
+
+def test_named_case_without_override_goes_through_case_by_name(monkeypatch):
+    # the benchmark times a ladder's case build by patching this name
+    calls = []
+    real = harness.case_by_name
+    monkeypatch.setattr(harness, "case_by_name", lambda name: calls.append(name) or real(name))
+    assert small_config().build_case().name == "constant_densities"
+    assert calls == ["constant_densities"]
 
 
 # -- study results ----------------------------------------------------------------

@@ -25,16 +25,11 @@ in the stiffness matrix, and summing them in matmul order moved the 64x64
 pressure error by 3.9e-10 relative, beyond the 1e-10 the ladder tables
 allow.
 
-Patterns and plans.  Every matrix on a mesh shares the mesh's read-only
-CSR index arrays, and assembly writes only ``data``.  Dirichlet
-elimination keeps one plan per (input pattern, constrained DOFs): which
-input entries it keeps and where they go, where the constrained rows'
-unit diagonals sit, which entries it moves to the right-hand side, and
-the constrained (read-only) pattern.  A call then gathers ``data`` and
-updates the right-hand side in the same order as a plan-free
-elimination, so the result is the same bits whether the plan is new or
-reused.  :class:`PlanCache` holds these plans, and the solver's factor
-plans, keyed by exact comparison of the index arrays.
+Patterns.  Every matrix on a mesh, constrained or not, shares the mesh's
+read-only CSR index arrays, and assembly writes only ``data``.  Dirichlet
+values are imposed by row replacement: a constrained row keeps its stored
+entries as explicit zeros except a unit diagonal, the right-hand side
+carries the value, and the constrained columns stay where they are.
 """
 
 from __future__ import annotations
@@ -247,40 +242,6 @@ def _on_pattern(p: SimpleNamespace, data: np.ndarray) -> sps.csr_matrix:
     # every matrix on the mesh shares the read-only index arrays: an in-place
     # scipy method that would change them raises instead of corrupting them
     return sps.csr_matrix((data, p.indices, p.indptr), shape=p.shape)
-
-
-class PlanCache:
-    """Plans keyed by index arrays, most recently used first, at most
-    ``size`` of them.
-
-    Keys are compared element by element.  A key array that is read-only
-    (a cached pattern) is kept by reference; a writable one is copied, so
-    that changing the caller's array later cannot re-label a plan.  Not
-    safe to share between threads.
-    """
-
-    def __init__(self, size: int):
-        self.size = size
-        self.entries: list[tuple[tuple, object]] = []
-
-    def get(self, key: tuple, build):
-        for i, (k, plan) in enumerate(self.entries):
-            if all(np.array_equal(a, b) for a, b in zip(k, key)):
-                self.entries.insert(0, self.entries.pop(i))
-                return plan
-        plan = build()
-        kept = tuple(a if not a.flags.writeable else a.copy() for a in key)
-        self.entries.insert(0, (kept, plan))
-        del self.entries[self.size:]
-        return plan
-
-    def clear(self):
-        self.entries.clear()
-
-
-#: plans kept per cache: the three unknowns' constraint sets on each level of
-#: a four-level ladder
-PLAN_CACHE_SIZE = 12
 
 
 # -- lagged closure data -----------------------------------------------------
@@ -552,84 +513,58 @@ def _dedupe_constraints(dofs, vals):
     conflict = vals != vals[first][inverse]
     if np.any(conflict):
         dof = uniq[inverse[conflict]].min()
-        raise ConflictingConstraintError(
-            f"DOF {dof} received conflicting values {set(vals[dofs == dof])}")
+        given = sorted(set(vals[dofs == dof].tolist()))
+        raise ConflictingConstraintError(f"DOF {dof} received conflicting values {given}")
     return uniq, vals[first]
 
 
-_dirichlet_plans = PlanCache(PLAN_CACHE_SIZE)
-
-
 def apply_dirichlet(matrix, rhs, dofs, values):
-    """Impose prescribed nodal values strongly.
+    """Impose prescribed nodal values strongly, by row replacement.
 
-    Constrained rows become identity rows carrying the value; constrained
-    columns are eliminated into the right-hand side (which keeps a
-    symmetric matrix symmetric).  Works on the CSR arrays directly: entries
-    of unconstrained rows and columns keep their order, so a canonical
-    input gives a canonical result.  The elimination plan depends only on
-    the input pattern and the constrained DOFs, so it is built once per
-    such pair (see :func:`_dirichlet_plan`); a call then gathers ``data``
-    and updates the right-hand side.  Returns the new ``(csr_matrix, rhs)``.
+    A constrained row becomes a unit row: its stored entries stay, as
+    explicit zeros, except its diagonal, which becomes 1, and the
+    right-hand side carries the value.  Constrained columns are not
+    eliminated, so the result has the input's CSR pattern (a non-canonical
+    input is summed first).  Every constrained row must store its diagonal
+    entry, as every DG matrix does.  Returns the new ``(csr_matrix, rhs)``.
     """
-    matrix, lift = _eliminate(matrix, *_dedupe_constraints(
-        np.asarray(dofs, dtype=np.int64), np.asarray(values, dtype=float)))
+    dofs = np.asarray(dofs, dtype=np.int64)
+    values = np.asarray(values, dtype=float)
+    bad = dofs[~np.isfinite(values)]
+    if bad.size:
+        raise ValueError(f"DOF {bad.min()} received a non-finite value")
+    matrix, lift = _constrain(matrix, *_dedupe_constraints(dofs, values))
     return matrix, lift(rhs)
 
 
-def _eliminate(matrix, dofs, values):
+def _constrain(matrix, dofs, values):
     """The matrix half of :func:`apply_dirichlet`, for de-duplicated
     constraints: the constrained matrix, and a function that takes a
-    right-hand side of ``matrix`` to the one of the constrained system;
-    it keeps only the products moved to the right-hand side, not the matrix."""
+    right-hand side to the one of the constrained system."""
     A = matrix.tocsr()
-    plan = _dirichlet_plans.get((A.indptr, A.indices, dofs),
-                                lambda: _dirichlet_plan(A, dofs))
-    lift = functools.partial(_lift, plan.move_rows,
-                             A.data[plan.move] * values[plan.move_slot], dofs, values)
-    data = np.append(A.data, 1.0)[plan.source]
-    return sps.csr_matrix((data, plan.indices, plan.indptr), shape=A.shape), lift
+    if not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()
+    # the stored entries of the constrained rows, row after row
+    counts = np.diff(A.indptr)[dofs]
+    slots = (np.repeat(A.indptr[dofs] - (np.cumsum(counts) - counts), counts)
+             + np.arange(counts.sum()))
+    rows = np.repeat(dofs, counts)
+    diagonal = A.indices[slots] == rows
+    missing = np.setdiff1d(dofs, rows[diagonal])
+    if missing.size:
+        raise ValueError(f"constrained row {missing[0]} stores no diagonal entry")
+    data = A.data.copy()
+    data[slots] = 0.0
+    data[slots[diagonal]] = 1.0
+    return (sps.csr_matrix((data, A.indices, A.indptr), shape=A.shape),
+            functools.partial(_lift, dofs, values))
 
 
-def _lift(rows, moved, dofs, values, rhs):
+def _lift(dofs, values, rhs):
     rhs = np.array(rhs, dtype=float, copy=True)
-    np.subtract.at(rhs, rows, moved)
     rhs[dofs] = values
     return rhs
-
-
-def _dirichlet_plan(A: sps.csr_matrix, dofs: np.ndarray) -> SimpleNamespace:
-    """What :func:`apply_dirichlet` does to one pattern: where each output
-    entry comes from (``source``: an input entry of a free row and a free
-    column, or ``A.nnz`` for the unit diagonal of a constrained row), the
-    entries of free rows in constrained columns it moves to the right-hand
-    side (``move``, with their rows and the positions of their columns in
-    ``dofs``), and the constrained CSR pattern (read-only)."""
-    n = A.shape[0]
-    idx = A.indices.dtype
-    constrained = np.zeros(n, dtype=bool)
-    constrained[dofs] = True
-    row = np.repeat(np.arange(n), np.diff(A.indptr))
-    c_row, c_col = constrained[row], constrained[A.indices]
-    move = np.flatnonzero(~c_row & c_col)
-
-    # a constrained row keeps a single entry, its unit diagonal
-    keep = np.flatnonzero(~(c_row | c_col))
-    counts = np.bincount(row[keep], minlength=n)
-    counts[dofs] = 1
-    indptr = np.zeros(n + 1, dtype=idx)
-    np.cumsum(counts, out=indptr[1:])
-    unit = indptr[dofs]
-    free = np.ones(indptr[-1], dtype=bool)
-    free[unit] = False
-    indices = np.empty(indptr[-1], dtype=idx)
-    indices[unit], indices[free] = dofs, A.indices[keep]
-    source = np.full(indptr[-1], A.nnz, dtype=idx)
-    source[free] = keep
-    return SimpleNamespace(
-        source=source, move=move.astype(idx), move_rows=row[move],
-        move_slot=np.searchsorted(dofs, A.indices[move]),
-        indices=_frozen(indices), indptr=_frozen(indptr))
 
 
 # -- the three assemblies ----------------------------------------------------
@@ -684,7 +619,7 @@ def _system(matrix, rhs, mesh, case, unknown, t_next, constrain) -> LinearSystem
     ``matrix`` and ``rhs`` when ``constrain`` is set."""
     dofs, vals = dirichlet_constraints(mesh, case, unknown, t_next)
     if constrain:
-        matrix, lift = _eliminate(matrix, dofs, vals)
+        matrix, lift = _constrain(matrix, dofs, vals)
         rhs = lift(rhs)
     return LinearSystem(matrix, rhs, dofs, vals)
 
@@ -701,9 +636,9 @@ def _saturation_matrix(phase, mesh, cfg, case, tau, t_next, coeffs):
     """The constrained matrix of one saturation system, which depends only
     on the lagged coefficients, tau and the Dirichlet DOFs, and the function
     that takes its :func:`_saturation_rhs` to the constrained right-hand
-    side (see :func:`_eliminate`).  ``assemble_*`` gives the same bits."""
+    side (see :func:`_constrain`).  ``assemble_*`` gives the same bits."""
     dofs, vals = dirichlet_constraints(mesh, case, "sat_" + phase, t_next)
-    return _eliminate(_saturation_form(phase, mesh, cfg, case, tau, coeffs), dofs, vals)
+    return _constrain(_saturation_form(phase, mesh, cfg, case, tau, coeffs), dofs, vals)
 
 
 def _add_mass(data, mesh, scale):

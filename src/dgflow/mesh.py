@@ -9,6 +9,7 @@ read-only numpy arrays so a mesh can be shared freely once built.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -52,8 +53,9 @@ class Mesh:
 
     def __init__(self, nx: int, ny: int, domain=(0.0, 0.0, 1.0, 1.0)):
         x0, y0, x1, y1 = (float(v) for v in domain)
-        if not (nx >= 1 and ny >= 1):
-            raise ValueError(f"element counts must be >= 1, got nx={nx}, ny={ny}")
+        if not all(isinstance(n, numbers.Integral) and n >= 1 for n in (nx, ny)):
+            raise ValueError(f"element counts must be integers >= 1, got nx={nx!r}, "
+                             f"ny={ny!r}")
         if x1 <= x0 or y1 <= y0:
             raise InvalidDomainError(f"degenerate domain rectangle {domain}")
 
@@ -62,7 +64,7 @@ class Mesh:
         self.domain = (x0, y0, x1, y1)
         self.dx = (x1 - x0) / nx
         self.dy = (y1 - y0) / ny
-        self.n_elements = nx * ny
+        self.n_elements = self.nx * self.ny
 
         self._build_faces()
         self._build_element_connectivity()

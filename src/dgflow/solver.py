@@ -32,7 +32,7 @@ the helper failed to start, they are solved here, in the serial order.
   stagnation, the double-precision fallback, the non-finite check and the
   ``SOLVER_TOL`` residual check.  So the new state has the same bits
   wherever a system was solved.
-* The helper, like the plan caches, is module state behind the stateless
+* The helper, like the factor plan cache, is module state behind the stateless
   public calls; the time loop is not safe to run from several threads of
   one process at once.
 """
@@ -123,8 +123,9 @@ def solve_linear(system: LinearSystem) -> np.ndarray:
     The solve is a direct sparse LU factorization (the systems
     are nonsymmetric for theta in {0, 1}).  Everything that depends only on
     the sparsity pattern is kept in a plan, built at the first solve on a
-    pattern and reused by every later one (every system on a mesh shares
-    one pattern before constraints, see ``assembly._block_pattern``):
+    pattern and reused by every later one (every system on a mesh,
+    constrained or not, has the mesh's pattern, see
+    ``assembly._block_pattern``):
 
     * the symmetric order ``q``: minimum degree on the pattern of A + A^T
       (SuperLU's ``MMD_AT_PLUS_A``, whose ``perm_c`` is the inverse of
@@ -148,8 +149,41 @@ def solve_linear(system: LinearSystem) -> np.ndarray:
     return _Factorization(system.matrix).solve(system.rhs)
 
 
-#: factor plans, one per constrained sparsity pattern
-_factor_plans = assembly.PlanCache(assembly.PLAN_CACHE_SIZE)
+class PlanCache:
+    """Plans keyed by index arrays, most recently used first, at most
+    ``size`` of them.
+
+    Keys are compared element by element.  A key array that is read-only
+    (a cached pattern) is kept by reference; a writable one is copied, so
+    that changing the caller's array later cannot re-label a plan.  Not
+    safe to share between threads.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self.entries: list[tuple[tuple, object]] = []
+
+    def get(self, key: tuple, build):
+        for i, (k, plan) in enumerate(self.entries):
+            if all(np.array_equal(a, b) for a, b in zip(k, key)):
+                self.entries.insert(0, self.entries.pop(i))
+                return plan
+        plan = build()
+        kept = tuple(a if not a.flags.writeable else a.copy() for a in key)
+        self.entries.insert(0, (kept, plan))
+        del self.entries[self.size:]
+        return plan
+
+    def clear(self):
+        self.entries.clear()
+
+
+#: factor plans kept: a plan serves every system on one mesh, so this holds
+#: the meshes of a ladder with room to spare
+PLAN_CACHE_SIZE = 12
+
+#: factor plans, one per sparsity pattern
+_factor_plans = PlanCache(PLAN_CACHE_SIZE)
 
 
 class _Factorization:

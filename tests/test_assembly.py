@@ -477,16 +477,20 @@ def test_apply_dirichlet_identity_rows_and_columns():
     rhs = np.array([1.0, 2.0, 3.0])
     M, b = apply_dirichlet(A, rhs, np.array([0]), np.array([5.0]))
     dense = M.toarray()
-    assert np.allclose(dense[0], [1.0, 0.0, 0.0])
-    assert np.allclose(dense[:, 0], [1.0, 0.0, 0.0])
-    assert b[0] == 5.0
-    assert b[1] == 2.0 - 1.0 * 5.0  # column moved to the rhs
-    assert b[2] == 3.0
+    assert np.array_equal(dense[0], [1.0, 0.0, 0.0])   # identity row
+    assert np.array_equal(dense[1:], A.toarray()[1:])  # column 0 stays
+    assert M.nnz == A.nnz                              # explicit zero kept
+    assert np.array_equal(b, [5.0, 2.0, 3.0])
+    # the same solution as eliminating column 0 into the rhs
+    x = np.linalg.solve(dense, b)
+    x_free = np.linalg.solve(A.toarray()[1:, 1:], rhs[1:] - A.toarray()[1:, 0] * 5.0)
+    assert np.allclose(x, np.concatenate([[5.0], x_free]), rtol=1e-14, atol=0)
 
 
 def test_apply_dirichlet_zero_values_keep_interior_rows():
     rng = np.random.default_rng(12)
-    A = sps.random(20, 20, density=0.3, random_state=1, format="csr")
+    # a stored diagonal in every row, as a constrained row needs
+    A = (sps.random(20, 20, density=0.3, random_state=1) + sps.eye(20)).tocsr()
     rhs = rng.normal(size=20)
     dofs = np.array([3, 7])
     M, b = apply_dirichlet(A, rhs, dofs, np.zeros(2))

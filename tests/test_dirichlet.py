@@ -1,6 +1,7 @@
-"""Strong Dirichlet elimination on CSR matrices, and the replay contract of
-the three assemblies (``constrain=True`` equals ``apply_dirichlet`` applied
-to the ``constrain=False`` system, bit for bit)."""
+"""Strong Dirichlet data by row replacement on CSR matrices, and the replay
+contract of the three assemblies (``constrain=True`` equals
+``apply_dirichlet`` applied to the ``constrain=False`` system, bit for
+bit)."""
 
 import numpy as np
 import pytest
@@ -40,52 +41,67 @@ def csr_systems(draw):
     return matrix, rhs, dofs, value_of[dofs]
 
 
-def dense_elimination(matrix, rhs, dofs, values):
-    """Reference: move constrained columns to the rhs, then identity rows."""
+def dense_row_replacement(matrix, rhs, dofs, values):
+    """Reference: unit rows for the constrained DOFs, values in the rhs."""
     A = matrix.toarray()
-    fixed = np.zeros(A.shape[0])
-    fixed[dofs] = values
-    b = rhs - A @ fixed
-    b[dofs] = values
+    b = np.array(rhs, dtype=float)
     A[dofs, :] = 0.0
-    A[:, dofs] = 0.0
     A[dofs, dofs] = 1.0
+    b[dofs] = values
     return A, b
 
 
-def check_against_dense(matrix, rhs, dofs, values):
-    M, b = apply_dirichlet(matrix, rhs, dofs, values)
-    A_ref, b_ref = dense_elimination(matrix, rhs, dofs, values)
-
-    assert isinstance(M, sps.csr_matrix) and M.has_canonical_format
-    assert np.array_equal(M.toarray(), A_ref)
-    assert np.allclose(b, b_ref, rtol=1e-12, atol=1e-12)
-    assert np.array_equal(b[dofs], values)
-    # stored entries: those of free rows and columns (explicit zeros kept),
-    # plus one unit diagonal per constrained DOF
-    free = np.ones(matrix.shape[0], dtype=bool)
+def dense_column_elimination(matrix, rhs, dofs, values):
+    """Reference: move constrained columns to the rhs, then unit rows."""
+    A, b = dense_row_replacement(matrix, rhs, dofs, values)
+    fixed = np.zeros(A.shape[0])
+    fixed[dofs] = values
+    free = np.ones(A.shape[0], dtype=bool)
     free[dofs] = False
-    coo = matrix.tocoo()
-    kept = np.count_nonzero(free[coo.row] & free[coo.col])
-    assert M.nnz == kept + len(np.unique(dofs))
+    b[free] -= A[free] @ fixed
+    A[np.ix_(free, ~free)] = 0.0
+    return A, b
+
+
+def lacks_diagonal(matrix, dofs):
+    """Some constrained row stores no diagonal entry."""
+    return any(d not in matrix.indices[matrix.indptr[d]:matrix.indptr[d + 1]]
+               for d in dofs)
 
 
 @settings(max_examples=300, deadline=None)
-@given(csr_systems(), st.data())
-def test_apply_dirichlet_matches_dense_elimination(system, data):
+@given(csr_systems())
+def test_apply_dirichlet_matches_dense_row_replacement(system):
     matrix, rhs, dofs, values = system
-    check_against_dense(matrix, rhs, dofs, values)
-    plan = assembly._dirichlet_plans.entries[0][1]
+    if lacks_diagonal(matrix, dofs):
+        with pytest.raises(ValueError, match="stores no diagonal entry"):
+            apply_dirichlet(matrix, rhs, dofs, values)
+        return
+    M, b = apply_dirichlet(matrix, rhs, dofs, values)
+    A_ref, b_ref = dense_row_replacement(matrix, rhs, dofs, values)
+    assert isinstance(M, sps.csr_matrix) and M.has_canonical_format
+    assert np.array_equal(M.toarray(), A_ref)
+    assert np.array_equal(b, b_ref)
+    # the input's pattern: every stored entry stays, explicit zeros included
+    assert M.indptr is matrix.indptr
+    assert np.array_equal(M.indices, matrix.indices)
 
-    # new values on the same pattern and DOFs reuse the plan
-    n = matrix.shape[0]
-    again = sps.csr_matrix(
-        (data.draw(arrays(float, matrix.nnz, elements=ENTRIES)),
-         matrix.indices, matrix.indptr), shape=(n, n))
-    value_of = data.draw(arrays(float, n, elements=ENTRIES))
-    check_against_dense(again, data.draw(arrays(float, n, elements=ENTRIES)),
-                        dofs, value_of[dofs])
-    assert assembly._dirichlet_plans.entries[0][1] is plan
+
+@settings(max_examples=300, deadline=None)
+@given(csr_systems(), st.booleans())
+def test_apply_dirichlet_matches_dense_elimination(system, dominant):
+    # row replacement and column elimination give the same solution
+    matrix, rhs, dofs, values = system
+    if dominant:   # a stored, dominant diagonal: most raw draws are singular
+        matrix = (matrix + 10.0 * sps.eye(matrix.shape[0])).tocsr()
+    if lacks_diagonal(matrix, dofs):
+        return
+    A_ref, b_ref = dense_column_elimination(matrix, rhs, dofs, values)
+    if np.linalg.cond(A_ref) > 1e8:
+        return
+    M, b = apply_dirichlet(matrix, rhs, dofs, values)
+    x, x_ref = np.linalg.solve(M.toarray(), b), np.linalg.solve(A_ref, b_ref)
+    assert np.allclose(x, x_ref, rtol=1e-6, atol=1e-6 * np.abs(x_ref).max(initial=1.0))
 
 
 @settings(max_examples=100, deadline=None)
@@ -101,8 +117,42 @@ def test_apply_dirichlet_conflicting_values_name_the_dof(system, data):
         apply_dirichlet(matrix, rhs, dofs, values)
 
 
+def test_apply_dirichlet_conflict_message_prints_plain_floats():
+    with pytest.raises(ConflictingConstraintError, match=r"DOF 1 .* \[2\.0, 3\.0\]$"):
+        apply_dirichlet(sps.eye(3, format="csr"), np.zeros(3), np.array([1, 1, 2]),
+                        np.array([3.0, 2.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_apply_dirichlet_rejects_non_finite_values(bad):
+    # a DOF given once: not a conflict, even though nan != nan
+    with pytest.raises(ValueError, match="DOF 0 received a non-finite value") as info:
+        apply_dirichlet(sps.csr_matrix(np.eye(3)), np.ones(3), np.array([0]),
+                        np.array([bad]))
+    assert not isinstance(info.value, ConflictingConstraintError)
+    # the smallest such DOF is named, whatever the order
+    with pytest.raises(ValueError, match="DOF 1 received a non-finite value"):
+        apply_dirichlet(sps.csr_matrix(np.eye(3)), np.ones(3), np.array([2, 0, 1]),
+                        np.array([bad, 1.0, bad]))
+
+
+def test_duplicated_diagonal_entry_gives_the_prescribed_value():
+    # a non-canonical input whose constrained row stores its diagonal twice
+    # is summed first, so the unit diagonal is 1, not 2
+    matrix = sps.csr_matrix((np.array([2.0, 1.0, 3.0, 4.0, -1.0]),
+                             np.array([0, 0, 1, 1, 0]), np.array([0, 3, 5])),
+                            shape=(2, 2))
+    assert not matrix.has_canonical_format
+    M, b = apply_dirichlet(matrix, np.array([5.0, 6.0]), np.array([0]), np.array([0.7]))
+    assert M.has_canonical_format
+    assert np.array_equal(M.toarray(), [[1.0, 0.0], [-1.0, 4.0]])
+    assert np.array_equal(b, [0.7, 6.0])
+    assert np.allclose(np.linalg.solve(M.toarray(), b), [0.7, (6.0 + 0.7) / 4.0])
+
+
 def test_apply_dirichlet_leaves_its_input_alone():
-    A = sps.random(12, 12, density=0.4, random_state=3, format="csr")
+    # a stored diagonal in every row, as a constrained row needs
+    A = (sps.random(12, 12, density=0.4, random_state=3) + sps.eye(12)).tocsr()
     before = (A.data.copy(), A.indices.copy(), A.indptr.copy())
     rhs = np.arange(12.0)
     apply_dirichlet(A, rhs, np.array([0, 5, 11]), np.array([1.0, 2.0, 3.0]))
@@ -114,10 +164,15 @@ def test_apply_dirichlet_leaves_its_input_alone():
 # -- the replay contract of the assemblies -----------------------------------
 
 @pytest.fixture(scope="module")
-def step_systems():
+def step_mesh():
+    return build_uniform_mesh(6, 6)
+
+
+@pytest.fixture(scope="module")
+def step_systems(step_mesh):
     """Constrained and unconstrained systems of one gravity step on 6x6."""
     case = gravity_case()
-    mesh = build_uniform_mesh(6, 6)
+    mesh = step_mesh
     state = initialize(case, mesh)
     cfg = SchemeConfig()
     tau = 1.0 / 6
@@ -168,57 +223,23 @@ def test_assembled_matrices_are_canonical_csr(step_systems, name):
         assert np.all(np.diff(key) > 0)   # sorted within rows, no duplicates
 
 
-def test_all_systems_on_a_mesh_share_one_pattern(step_systems):
-    raws = [step_systems[name][1].matrix for name in ("pressure", "aqueous", "vapor")]
-    for m in raws[1:]:
-        assert np.array_equal(m.indices, raws[0].indices)
-        assert np.array_equal(m.indptr, raws[0].indptr)
+def _same_memory(a, b):
+    """``a`` and ``b`` are the same array or views of all of it: no copy."""
+    return a.ctypes.data == b.ctypes.data and a.shape == b.shape and a.dtype == b.dtype
 
 
-# -- the elimination plan ------------------------------------------------------
-
-def test_cold_and_warm_plans_give_identical_bits(step_systems):
-    raw = step_systems["pressure"][1]
-    args = (raw.matrix, raw.rhs, raw.constrained_dofs, raw.constrained_values)
-    assembly._dirichlet_plans.clear()
-    cold = apply_dirichlet(*args)
-    warm = apply_dirichlet(*args)
-    assert len(assembly._dirichlet_plans.entries) == 1
-    for got, want in ((cold[0].data, warm[0].data), (cold[0].indices, warm[0].indices),
-                      (cold[0].indptr, warm[0].indptr), (cold[1], warm[1])):
-        assert np.array_equal(got, want)
-
-
-def test_patterns_with_equal_indptr_never_share_a_plan():
-    # one entry per row, in column 0 or in column 2: equal shape, nnz and
-    # indptr, different indices
-    n = 4
-    indptr = np.arange(n + 1)
-    dofs, values = np.array([0]), np.array([2.0])
-    assembly._dirichlet_plans.clear()
-    for col in (0, 2, 0):
-        matrix = sps.csr_matrix((np.full(n, 3.0), np.full(n, col), indptr),
-                                shape=(n, n))
-        rhs = np.ones(n)
-        M, b = apply_dirichlet(matrix, rhs, dofs, values)
-        A_ref, b_ref = dense_elimination(matrix, rhs, dofs, values)
-        assert np.array_equal(M.toarray(), A_ref) and np.array_equal(b, b_ref)
-    assert len(assembly._dirichlet_plans.entries) == 2
-
-
-def test_plan_keys_do_not_follow_the_callers_arrays():
-    # a writable pattern is copied into the key, so editing it afterwards
-    # cannot make the old plan answer for the new pattern
-    n = 4
-    matrix = sps.csr_matrix((np.full(n, 3.0), np.zeros(n, dtype=np.int32),
-                             np.arange(n + 1)), shape=(n, n))
-    dofs, values = np.array([0]), np.array([2.0])
-    assembly._dirichlet_plans.clear()
-    apply_dirichlet(matrix, np.ones(n), dofs, values)
-    matrix.indices[:] = 2
-    M, b = apply_dirichlet(matrix, np.ones(n), dofs, values)
-    A_ref, b_ref = dense_elimination(matrix, np.ones(n), dofs, values)
-    assert np.array_equal(M.toarray(), A_ref) and np.array_equal(b, b_ref)
+def test_all_systems_on_a_mesh_share_one_pattern(step_mesh, step_systems):
+    # constrained or not, every matrix keeps the mesh's index arrays
+    case = gravity_case()
+    state = initialize(case, step_mesh)
+    coeffs = LaggedCoefficients(step_mesh, case.fluids, state.sat_a, state.sat_v)
+    matrices = [system.matrix for pair in step_systems.values() for system in pair]
+    matrices += [assembly._saturation_matrix(phase, step_mesh, SchemeConfig(), case,
+                                             1 / 6, 1 / 6, coeffs)[0] for phase in "av"]
+    pattern = assembly._groups(step_mesh).pattern
+    for m in matrices:
+        assert _same_memory(m.indices, pattern.indices)
+        assert _same_memory(m.indptr, pattern.indptr)
 
 
 def test_assembled_patterns_are_read_only(step_systems):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dgflow.mesh import (InvalidDomainError, LEFT, RIGHT, BOTTOM, TOP,
+from dgflow.mesh import (InvalidDomainError, LEFT, RIGHT, BOTTOM, TOP, Mesh,
                          build_uniform_mesh)
 
 
@@ -29,6 +29,19 @@ def test_invalid_domain_raises():
         build_uniform_mesh(2, 2, (0.0, 0.0, 0.0, 1.0))
     with pytest.raises(InvalidDomainError):
         build_uniform_mesh(2, 2, (0.0, 2.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("nx, ny", [(2.0, 2), (2.5, 2), (2, "2"), (2, None), (0, 2)])
+def test_element_counts_must_be_positive_integers(nx, ny):
+    with pytest.raises(ValueError, match=r"element counts must be integers >= 1, "
+                                         rf"got nx={nx!r}, ny={ny!r}"):
+        Mesh(nx, ny)
+
+
+def test_numpy_integer_counts_are_accepted():
+    mesh = Mesh(np.int64(3), np.int32(2))
+    assert (mesh.nx, mesh.ny, mesh.n_elements) == (3, 2, 6)
+    assert type(mesh.nx) is int
 
 
 def test_refine_doubles_counts():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sps
 
-from dgflow import assembly, dg_core, solver
+from dgflow import dg_core, solver
 from dgflow.assembly import LinearSystem, NonPositiveCoefficientError, SchemeConfig
 from dgflow.dg_core import DGField, l2_project, tables
 from dgflow.manufactured import ManufacturedCase, constant_densities_case
@@ -195,7 +195,6 @@ def test_coefficient_error_carries_step_index(monkeypatch):
 
 def _clear_plans():
     solver._factor_plans.clear()
-    assembly._dirichlet_plans.clear()
 
 
 def test_cold_and_warm_plans_give_identical_bits():
@@ -204,7 +203,7 @@ def test_cold_and_warm_plans_give_identical_bits():
     state = initialize(case, build_uniform_mesh(6, 6))
     _clear_plans()
     cold = advance(state, 1 / 6, cfg, case)
-    assert len(solver._factor_plans.entries) == 1   # one constrained pattern
+    assert len(solver._factor_plans.entries) == 1   # one mesh pattern
     warm = advance(state, 1 / 6, cfg, case)
     for a, b in ((cold.pressure, warm.pressure), (cold.sat_a, warm.sat_a),
                  (cold.sat_v, warm.sat_v)):
@@ -234,6 +233,21 @@ def test_patterns_with_equal_indptr_never_share_a_plan():
     assert len(solver._factor_plans.entries) == 2
     orders = [plan.order for _, plan in solver._factor_plans.entries]
     assert not np.array_equal(orders[0], orders[1])
+
+
+def test_factor_plan_keys_do_not_follow_the_callers_arrays():
+    # a writable pattern is copied into the key, so editing it afterwards
+    # cannot make the old plan answer for the new pattern
+    rng = np.random.default_rng(12)
+    A1, A2 = _cyclic(9, 1, rng), _cyclic(9, 4, rng)
+    indices = A1.indices.copy()
+    b = rng.normal(size=9)
+    _clear_plans()
+    solve_linear(_system(sps.csr_matrix((A1.data, indices, A1.indptr), shape=(9, 9)), b))
+    indices[:] = A2.indices
+    x = solve_linear(_system(sps.csr_matrix((A2.data, indices, A2.indptr), shape=(9, 9)), b))
+    assert np.allclose(x, np.linalg.solve(A2.toarray(), b), rtol=1e-12, atol=0)
+    assert len(solver._factor_plans.entries) == 2
 
 
 def _splu_calls(monkeypatch):

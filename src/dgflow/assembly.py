@@ -190,7 +190,7 @@ def _groups(mesh: Mesh) -> SimpleNamespace:
         qpts = (mesh.elem_origin[elems][:, None, :]
                 + ref[None, :, :] * np.array([mesh.dx, mesh.dy]))
         boundary[side] = SimpleNamespace(
-            side=side, fids=fids, elems=elems, edge=edge,
+            fids=fids, elems=elems, edge=edge,
             normal=EDGE_NORMALS[edge], h=mesh.face_length[fids],
             # nodal DOFs on the side and their coordinates (Dirichlet data)
             dofs=(4 * elems[:, None] + loc[None, :]).ravel(),
@@ -227,6 +227,9 @@ def _block_pattern(mesh: Mesh, interior) -> SimpleNamespace:
     template = sps.csr_matrix(
         (np.ones(len(used)), cols, np.searchsorted(rows, np.arange(n + 1))),
         shape=(n, n))
+    # the largest per-mesh array: 32-bit indices, as CSR's, halve it, and
+    # ``np.bincount`` sums the same weights in the same order
+    scatter = scatter.astype(np.int32)
     return SimpleNamespace(
         shape=(n, n), nnz=len(used), indices=_frozen(template.indices),
         indptr=_frozen(template.indptr), scatter=scatter,
@@ -249,12 +252,14 @@ def _on_pattern(p: SimpleNamespace, data: np.ndarray) -> sps.csr_matrix:
 class LaggedCoefficients:
     """Closure coefficients of one lagged state.
 
-    ``vol`` holds the closures at the 3x3 quadrature points of every
-    element, and ``face[key]`` a pair per interior group, one per side, at
-    the face quadrature points.  The middle column of a side
-    (:data:`MID`, the edge midpoint) fixes the averaging weights,
-    penalties and upwind selectors.  All of them come from
-    :func:`_closures`.
+    Holds the ``mesh``, the ``fluids``, the lagged saturations
+    ``sat_a_field`` and ``sat_v_field`` (the pressure right-hand side takes
+    their gradients where it reads them), and the closures from
+    :func:`_closures`: ``vol`` at the 3x3 quadrature points of every
+    element, and ``face[key]``, a pair per interior group, one per side, at
+    the face quadrature points.  The middle column of a side (:data:`MID`,
+    the edge midpoint) fixes the averaging weights, penalties and upwind
+    selectors.
     """
 
     def __init__(self, mesh: Mesh, fluids: physics.FluidProperties,
@@ -265,8 +270,6 @@ class LaggedCoefficients:
         self.sat_a_field = sat_a
         self.sat_v_field = sat_v
         self.vol = _closures(sat_a.coeffs @ t.phi, sat_v.coeffs @ t.phi, fluids)
-        self.grad_sa = (sat_a.coeffs @ t.gx, sat_a.coeffs @ t.gy)
-        self.grad_sv = (sat_v.coeffs @ t.gx, sat_v.coeffs @ t.gy)
         self.face = {g.key: tuple(
             _closures(sat_a.coeffs[k] @ t.trace_phi[e], sat_v.coeffs[k] @ t.trace_phi[e],
                       fluids) for k, e in ((g.k1, g.e1), (g.k2, g.e2)))
@@ -398,13 +401,15 @@ def _pressure_rhs(mesh, coeffs, case, t_next):
     rhs = np.zeros(4 * mesh.n_elements)
     _load_rhs(mesh, rhs, case.source_total, t_next)
 
+    t = tables(mesh)
     v = coeffs.vol
     g = case.fluids.gravity_vector
+    sa, sv = coeffs.sat_a_field.coeffs, coeffs.sat_v_field.coeffs
     # grad p_c by the chain rule on the lagged discrete saturations
     cap_v = _diffusivity(v, "vapor")
     cap_a = v.kappa * v.mob.lam_a * v.dpca
-    fx, fy = (cap_v * coeffs.grad_sv[i] - cap_a * coeffs.grad_sa[i]
-              - v.kappa * v.mob.rho_lam_t * g[i] for i in (0, 1))
+    fx, fy = (cap_v * (sv @ grad) - cap_a * (sa @ grad)
+              - v.kappa * v.mob.rho_lam_t * g[i] for i, grad in enumerate((t.gx, t.gy)))
     _flux_volume_rhs(mesh, rhs, fx, fy, sign=-1.0)
 
     for grp in _groups(mesh).interior:

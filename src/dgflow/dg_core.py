@@ -8,13 +8,16 @@ variant with elementwise normal-derivative boundary terms.
 
 Per-mesh lookup tables (basis and trace values at quadrature points) are
 cached in a weak dictionary keyed by the mesh object; meshes are immutable
-so the cache never goes stale.
+so the cache never goes stale.  The tables of the richer error rule are
+built only when an error is first measured on the mesh.
 """
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -187,13 +190,19 @@ class Q1Tables:
         self.qpoints = (mesh.elem_origin[:, None, :]
                         + vol.points[None, :, :] * np.array([dx, dy]))
 
-        # richer rule for error measurement, so the quadrature crime of the
-        # reported errors sits far below the discretization error
+    @functools.cached_property
+    def error_rule(self) -> SimpleNamespace:
+        """The richer rule for error measurement, so the quadrature crime of
+        the reported errors sits far below the discretization error: basis
+        values ``phi`` (4, nq), weights ``wdet`` (nq,) and physical points
+        ``qpoints`` (n_elements, nq, 2).  Built at the first
+        :func:`l2_error` on the mesh, so a time march never holds them."""
+        mesh = self.mesh
         err = gauss_2d(ERROR_POINTS)
-        self.err_phi = basis_values(err.points).T
-        self.err_wdet = err.weights * (dx * dy)
-        self.err_qpoints = (mesh.elem_origin[:, None, :]
-                            + err.points[None, :, :] * np.array([dx, dy]))
+        return SimpleNamespace(
+            phi=basis_values(err.points).T, wdet=err.weights * (mesh.dx * mesh.dy),
+            qpoints=(mesh.elem_origin[:, None, :]
+                     + err.points[None, :, :] * np.array([mesh.dx, mesh.dy])))
 
 
 _tables_cache: "weakref.WeakKeyDictionary[Mesh, Q1Tables]" = weakref.WeakKeyDictionary()
@@ -295,9 +304,9 @@ def l2_error(field: DGField, exact, time: float | None = None) -> float:
     ``exact`` is called as ``exact(x, y)`` or ``exact(time, x, y)`` when a
     time is given.
     """
-    t = tables(field.mesh)
-    xq, yq = t.err_qpoints[:, :, 0], t.err_qpoints[:, :, 1]
+    r = tables(field.mesh).error_rule
+    xq, yq = r.qpoints[:, :, 0], r.qpoints[:, :, 1]
     ex = exact(xq, yq) if time is None else exact(time, xq, yq)
     ex = np.broadcast_to(np.asarray(ex, dtype=float), xq.shape)
-    diff = field.coeffs @ t.err_phi - ex
-    return float(np.sqrt(np.einsum("eq,q->", diff**2, t.err_wdet)))
+    diff = field.coeffs @ r.phi - ex
+    return float(np.sqrt(np.einsum("eq,q->", diff**2, r.wdet)))

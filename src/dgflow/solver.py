@@ -21,12 +21,12 @@ the helper failed to start, they are solved here, in the serial order.
   it at exit, or dies, even by SIGKILL.  If it dies, the next step starts
   another; a step that loses it builds its saturation matrices again and
   solves them here.
-* Its costs (gravity case, single-threaded BLAS, 2 vCPUs): a start of
-  about 0.35 s on the first step, which a short run pays whole (a
-  three-level CLI ladder to 8x8: 1.0 s against 0.53 s); 0.15 ms more per
-  4x4 step (2.05 against 1.9 ms), while from 8x8 up a step is faster
-  (8x8: 3.1 against 3.4 ms, 16x16: 6.5 against 8.5 ms); and a peak of
-  about 95 MB (146 MB at 64x64) beside this process's 100 (153) MB.
+* Its costs (gravity case, single-threaded BLAS, 2 vCPUs; see the README
+  and ``tools/helper_sweep.py``, ``tools/memory_phases.py``): a start of
+  about 0.35 s on the first step (a three-level CLI ladder to 8x8: 1.0 s
+  against 0.53 s); faster steps from 32x32 up (64x64: about 0.8 of the
+  in-process step), no resolved gain below; and a peak of about 95 MB
+  (145 MB at 64x64) beside this process's 104 (149) MB.
 * Both processes factor and refine with the same code
   (:class:`_Factorization`): the single-precision factor, refinement to
   stagnation, the double-precision fallback, the non-finite check and the

@@ -426,6 +426,31 @@ def test_identity_time_step_preserves_field():
     assert np.max(np.abs(sol - s_prev.vector)) < 1e-12
 
 
+# -- the scatter map ----------------------------------------------------------------
+
+def test_scatter_map_is_32_bit():
+    pattern = assembly._groups(build_uniform_mesh(3, 2)).pattern
+    assert pattern.scatter.dtype == np.int32
+    assert pattern.volume.dtype == np.int32
+    assert np.shares_memory(pattern.volume, pattern.scatter)
+
+
+@pytest.mark.parametrize("equation", ["pressure", "aqueous", "vapor"])
+def test_form_matrix_sums_as_a_64_bit_scatter_map(equation):
+    # the 32-bit map gives the bits the same map gives in 64 bits
+    mesh = build_uniform_mesh(4, 3)
+    coeffs = make_coeffs(mesh, initialize(gravity_case(), mesh))
+    cfg = SchemeConfig(theta_p=-1, alpha_p=9.0, theta_a=0, alpha_a=3.0)
+    pattern = assembly._groups(mesh).pattern
+    assert pattern.scatter.dtype == np.int32
+    theta, alpha = cfg.variant(equation)
+    weights = np.concatenate(assembly._diffusion_parts(mesh, coeffs, equation, alpha, theta))
+    wide = np.bincount(pattern.scatter.astype(np.int64), weights=weights,
+                       minlength=pattern.nnz)
+    data = form_matrix(mesh, cfg, coeffs, equation).data
+    assert data.tobytes() == wide.tobytes()
+
+
 # -- structural symmetry of the two saturation assemblies -------------------------
 
 def test_aqueous_vapor_swap_identical_matrices():

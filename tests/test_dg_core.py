@@ -6,7 +6,7 @@ from dgflow.assembly import NonPositiveCoefficientError
 from dgflow.dg_core import (FACE_POINTS, DGField, coercivity_norm, evaluate,
                             gauss_1d, gauss_2d, jump, jump_seminorm, l2_error,
                             l2_project, star_norm)
-from dgflow.mesh import BOTTOM, LEFT, RIGHT, TOP, build_uniform_mesh
+from dgflow.mesh import BOTTOM, LEFT, RIGHT, TOP, Mesh, build_uniform_mesh
 
 from helpers import (eval_basis, evaluate_at, face_quadrature_jumps, fine_l2_error,
                      nodal_interpolant)
@@ -230,6 +230,39 @@ def test_l2_error_matches_fine_quadrature_oracle():
     ours = l2_error(proj, f)
     oracle = fine_l2_error(proj, f, n=6)
     assert ours == pytest.approx(oracle, abs=1e-8)
+
+
+def _error_rule_arrays(tab):
+    """Arrays held by a table object whose shape carries the error rule's
+    point count (5x5 = 25; a 4x4 mesh has 16 elements, so no volume or face
+    array can have that length)."""
+    n = dg_core.ERROR_POINTS ** 2
+    found, todo = [], list(vars(tab).values())
+    while todo:
+        v = todo.pop()
+        if isinstance(v, np.ndarray) and n in v.shape:
+            found.append(v)
+        elif isinstance(v, dict):
+            todo.extend(v.values())
+        elif hasattr(v, "__dict__") and not isinstance(v, Mesh):
+            todo.extend(vars(v).values())
+    return found
+
+
+def test_error_tables_are_built_by_the_first_l2_error():
+    m = build_uniform_mesh(4, 4)
+    tab = dg_core.tables(m)     # a new mesh gets new tables
+    f = lambda x, y: np.sin(np.pi * x) * np.cos(y)
+    proj = l2_project(f, m)
+    assert _error_rule_arrays(tab) == []
+    ours = l2_error(proj, f)
+    assert len(_error_rule_arrays(tab)) == 3
+    # the same floats as the 5x5 Gauss rule written out
+    err = gauss_2d(dg_core.ERROR_POINTS)
+    q = m.elem_origin[:, None, :] + err.points[None, :, :] * np.array([m.dx, m.dy])
+    diff = proj.coeffs @ dg_core.basis_values(err.points).T - f(q[:, :, 0], q[:, :, 1])
+    assert ours == float(np.sqrt(np.einsum("eq,q->", diff**2, err.weights * (m.dx * m.dy))))
+    assert l2_error(proj, f) == ours
 
 
 def test_evaluate_uses_single_element_block(mesh22):

@@ -230,15 +230,11 @@ def _block_pattern(mesh: Mesh, interior) -> SimpleNamespace:
     # the largest per-mesh array: 32-bit indices, as CSR's, halve it, and
     # ``np.bincount`` sums the same weights in the same order
     scatter = scatter.astype(np.int32)
+    template.indices.flags.writeable = template.indptr.flags.writeable = False
     return SimpleNamespace(
-        shape=(n, n), nnz=len(used), indices=_frozen(template.indices),
-        indptr=_frozen(template.indptr), scatter=scatter,
+        shape=(n, n), nnz=len(used), indices=template.indices,
+        indptr=template.indptr, scatter=scatter,
         volume=scatter[:16 * mesh.n_elements].reshape(mesh.n_elements, 16))
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def _on_pattern(p: SimpleNamespace, data: np.ndarray) -> sps.csr_matrix:
@@ -538,14 +534,16 @@ def apply_dirichlet(matrix, rhs, dofs, values):
     bad = dofs[~np.isfinite(values)]
     if bad.size:
         raise ValueError(f"DOF {bad.min()} received a non-finite value")
-    matrix, lift = _constrain(matrix, *_dedupe_constraints(dofs, values))
-    return matrix, lift(rhs)
+    dofs, values = _dedupe_constraints(dofs, values)
+    matrix = _constrain(matrix, dofs)
+    rhs = np.array(rhs, dtype=float, copy=True)
+    rhs[dofs] = values
+    return matrix, rhs
 
 
-def _constrain(matrix, dofs, values):
-    """The matrix half of :func:`apply_dirichlet`, for de-duplicated
-    constraints: the constrained matrix, and a function that takes a
-    right-hand side to the one of the constrained system."""
+def _constrain(matrix, dofs):
+    """``matrix`` with the rows ``dofs`` made unit rows, the matrix half of
+    :func:`apply_dirichlet`; the right-hand side takes ``rhs[dofs] = values``."""
     A = matrix.tocsr()
     if not A.has_canonical_format:
         A = A.copy()
@@ -562,14 +560,7 @@ def _constrain(matrix, dofs, values):
     data = A.data.copy()
     data[slots] = 0.0
     data[slots[diagonal]] = 1.0
-    return (sps.csr_matrix((data, A.indices, A.indptr), shape=A.shape),
-            functools.partial(_lift, dofs, values))
-
-
-def _lift(dofs, values, rhs):
-    rhs = np.array(rhs, dtype=float, copy=True)
-    rhs[dofs] = values
-    return rhs
+    return sps.csr_matrix((data, A.indices, A.indptr), shape=A.shape)
 
 
 # -- the three assemblies ----------------------------------------------------
@@ -591,8 +582,10 @@ def assemble_aqueous(state, p_new, velocity, mesh, cfg, case, tau, t_next,
                      coeffs: LaggedCoefficients,
                      constrain: bool = True) -> LinearSystem:
     """Linear system of the implicit aqueous-saturation solve."""
-    return _assemble_saturation("a", state, p_new, velocity, mesh, cfg,
-                                case, tau, t_next, coeffs, constrain)
+    return _system(_saturation_form("a", mesh, cfg, case, tau, coeffs),
+                   _saturation_rhs(mesh, coeffs, case, t_next, tau, velocity, "a",
+                                   state.sat_a, p_new),
+                   mesh, case, "sat_a", t_next, constrain)
 
 
 def assemble_vapor(state, p_new, sa_new, velocity, mesh, cfg, case, tau, t_next,
@@ -607,25 +600,19 @@ def assemble_vapor(state, p_new, sa_new, velocity, mesh, cfg, case, tau, t_next,
     because the public call order passes it, positionally (so does the
     benchmark's replay of :func:`~dgflow.solver.advance`).
     """
-    return _assemble_saturation("v", state, p_new, velocity, mesh, cfg,
-                                case, tau, t_next, coeffs, constrain)
-
-
-def _assemble_saturation(phase, state, p_new, velocity, mesh, cfg, case, tau,
-                         t_next, coeffs, constrain) -> LinearSystem:
-    return _system(_saturation_form(phase, mesh, cfg, case, tau, coeffs),
-                   _saturation_rhs(mesh, coeffs, case, t_next, tau, velocity, phase,
-                                   getattr(state, "sat_" + phase), p_new),
-                   mesh, case, "sat_" + phase, t_next, constrain)
+    return _system(_saturation_form("v", mesh, cfg, case, tau, coeffs),
+                   _saturation_rhs(mesh, coeffs, case, t_next, tau, velocity, "v",
+                                   state.sat_v, p_new),
+                   mesh, case, "sat_v", t_next, constrain)
 
 
 def _system(matrix, rhs, mesh, case, unknown, t_next, constrain) -> LinearSystem:
     """The Dirichlet constraints of ``unknown`` at ``t_next``, imposed on
-    ``matrix`` and ``rhs`` when ``constrain`` is set."""
+    ``matrix`` and, in place, on ``rhs`` when ``constrain`` is set."""
     dofs, vals = dirichlet_constraints(mesh, case, unknown, t_next)
     if constrain:
-        matrix, lift = _constrain(matrix, dofs, vals)
-        rhs = lift(rhs)
+        matrix = _constrain(matrix, dofs)
+        rhs[dofs] = vals
     return LinearSystem(matrix, rhs, dofs, vals)
 
 
@@ -638,12 +625,13 @@ def _saturation_form(phase, mesh, cfg, case, tau, coeffs) -> sps.csr_matrix:
 
 
 def _saturation_matrix(phase, mesh, cfg, case, tau, t_next, coeffs):
-    """The constrained matrix of one saturation system, which depends only
-    on the lagged coefficients, tau and the Dirichlet DOFs, and the function
-    that takes its :func:`_saturation_rhs` to the constrained right-hand
-    side (see :func:`_constrain`).  ``assemble_*`` gives the same bits."""
+    """``(matrix, dofs, values)`` of one saturation system: the constrained
+    matrix, which depends only on the lagged coefficients, tau and the
+    Dirichlet DOFs, and the constraints, which its :func:`_saturation_rhs`
+    takes as ``rhs[dofs] = values``.  ``assemble_*`` gives the same bits."""
     dofs, vals = dirichlet_constraints(mesh, case, "sat_" + phase, t_next)
-    return _constrain(_saturation_form(phase, mesh, cfg, case, tau, coeffs), dofs, vals)
+    matrix = _saturation_form(phase, mesh, cfg, case, tau, coeffs)
+    return _constrain(matrix, dofs), dofs, vals
 
 
 def _add_mass(data, mesh, scale):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -83,8 +84,12 @@ class RunConfig:
         """Mesh size ``h``, elements per side and time partition of one
         ladder level."""
         h = self.h0 / 2**level
+        n = round(1.0 / h)
+        if not math.isclose(n * h, 1.0, rel_tol=1e-12):   # the rates need halving meshes
+            raise ValueError(f"h0 = {self.h0} is not 1/n for a whole n; the nearest is "
+                             f"1/{max(1, round(1.0 / self.h0))}")
         tau = {"h": h, "h2": h * h, "fixed": self.tau}[self.tau_rule]
-        return h, max(1, round(1.0 / h)), TimeConfig.from_step(tau, self.t_final)
+        return h, n, TimeConfig.from_step(tau, self.t_final)
 
     def scheme(self) -> SchemeConfig:
         # SchemeConfig's fields: theta_p, theta_a, theta_v, alpha_p, alpha_a, alpha_v
@@ -129,8 +134,9 @@ class ConvergenceReport:
         rep = cls(case, levels)
         for key in _KEYS:
             errs = [getattr(lvl, "err_" + key) for lvl in levels]
-            getattr(rep, "rates_" + key).extend(
-                math.log2(coarse / fine) for coarse, fine in zip(errs, errs[1:]))
+            getattr(rep, "rates_" + key).extend(   # no rate from a zero error
+                math.log2(coarse / fine) if coarse > 0 and fine > 0 else math.nan
+                for coarse, fine in zip(errs, errs[1:]))
         return rep
 
 
@@ -161,10 +167,6 @@ def emit_report(report: ConvergenceReport, path: str, fmt: str = "csv") -> str:
     return path
 
 
-def _fmt_err(e: float) -> str:
-    return f"{e:.6e}"
-
-
 def _rows(report: ConvergenceReport, rate_format: str, no_rate: str):
     """The cells of each level's row: h, DOFs, then each unknown's error and
     its rate from the coarser level (``no_rate`` on the first row)."""
@@ -172,7 +174,7 @@ def _rows(report: ConvergenceReport, rate_format: str, no_rate: str):
         cells = [f"{lvl.h:.8g}", str(lvl.dofs)]
         for key in _KEYS:
             rates = getattr(report, "rates_" + key)
-            cells += [_fmt_err(getattr(lvl, "err_" + key)),
+            cells += [f"{getattr(lvl, 'err_' + key):.6e}",
                       format(rates[i - 1], rate_format) if i else no_rate]
         yield cells
 
@@ -278,6 +280,11 @@ def cli_main(argv=None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    out = config.out or f"{config.case}_{config.tau_rule}.{FORMATS[config.fmt][0]}"
+    folder = os.path.dirname(os.path.abspath(out))
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
+        print(f"error: cannot write {out}: {folder} is not a writable directory", file=sys.stderr)
+        return 2
     try:
         report = convergence_study(config)
     except ExpressionError as exc:   # a field the case build or the scheme rejects
@@ -286,7 +293,6 @@ def cli_main(argv=None) -> int:
     except solver.STEP_ERRORS as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
-    out = config.out or f"{config.case}_{config.tau_rule}.{FORMATS[config.fmt][0]}"
     emit_report(report, out, config.fmt)
     last = (report.rates_p[-1], report.rates_sa[-1], report.rates_sv[-1])
     print(f"wrote {out}; finest-pair rates: pressure {last[0]:.2f}, "

@@ -42,7 +42,8 @@ class Face:
 
 
 class Mesh:
-    """Uniform rectangular grid of ``nx * ny`` quadrilateral elements.
+    """Uniform rectangular grid of ``nx * ny`` quadrilateral elements (each
+    count an integer >= 1) on the rectangle ``domain = (x0, y0, x1, y1)``.
 
     Element ``(i, j)`` occupies ``[x0+i*dx, x0+(i+1)*dx] x [y0+j*dy, ...]``
     and has flat index ``j*nx + i``.  Faces are numbered with all vertical
@@ -206,14 +207,5 @@ class Mesh:
         return f"Mesh({self.nx}x{self.ny}, domain={self.domain})"
 
 
-def build_uniform_mesh(nx: int, ny: int, domain=(0.0, 0.0, 1.0, 1.0)) -> Mesh:
-    """Build a uniform quadrilateral mesh of an axis-aligned rectangle.
-
-    Parameters
-    ----------
-    nx, ny : int
-        Number of elements along each axis (>= 1).
-    domain : tuple
-        Rectangle ``(x0, y0, x1, y1)``.
-    """
-    return Mesh(nx, ny, domain)
+#: the name the package, its demos and the CLI build meshes by
+build_uniform_mesh = Mesh

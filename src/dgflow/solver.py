@@ -149,41 +149,28 @@ def solve_linear(system: LinearSystem) -> np.ndarray:
     return _Factorization(system.matrix).solve(system.rhs)
 
 
-class PlanCache:
-    """Plans keyed by index arrays, most recently used first, at most
-    ``size`` of them.
-
-    Keys are compared element by element.  A key array that is read-only
-    (a cached pattern) is kept by reference; a writable one is copied, so
-    that changing the caller's array later cannot re-label a plan.  Not
-    safe to share between threads.
-    """
-
-    def __init__(self, size: int):
-        self.size = size
-        self.entries: list[tuple[tuple, object]] = []
-
-    def get(self, key: tuple, build):
-        for i, (k, plan) in enumerate(self.entries):
-            if all(np.array_equal(a, b) for a, b in zip(k, key)):
-                self.entries.insert(0, self.entries.pop(i))
-                return plan
-        plan = build()
-        kept = tuple(a if not a.flags.writeable else a.copy() for a in key)
-        self.entries.insert(0, (kept, plan))
-        del self.entries[self.size:]
-        return plan
-
-    def clear(self):
-        self.entries.clear()
-
-
 #: factor plans kept: a plan serves every system on one mesh, so this holds
 #: the meshes of a ladder with room to spare
 PLAN_CACHE_SIZE = 12
 
-#: factor plans, one per sparsity pattern
-_factor_plans = PlanCache(PLAN_CACHE_SIZE)
+#: ``((indptr, indices), plan)`` per sparsity pattern, most recently used first
+_factor_plans: list[tuple[tuple, SimpleNamespace]] = []
+
+
+def _plan_for(A: sps.csr_matrix) -> SimpleNamespace:
+    """The factor plan of ``A``'s pattern, kept in :data:`_factor_plans`.
+    Keys are compared element by element; a writable key array is copied,
+    so that changing the caller's array later cannot re-label a plan."""
+    key = (A.indptr, A.indices)
+    for i, (k, plan) in enumerate(_factor_plans):
+        if all(np.array_equal(a, b) for a, b in zip(k, key)):
+            _factor_plans.insert(0, _factor_plans.pop(i))
+            return plan
+    plan = _factor_plan(A)
+    kept = tuple(a if not a.flags.writeable else a.copy() for a in key)
+    _factor_plans.insert(0, (kept, plan))
+    del _factor_plans[PLAN_CACHE_SIZE:]
+    return plan
 
 
 class _Factorization:
@@ -200,7 +187,7 @@ class _Factorization:
             A.sum_duplicates()
         self.A, self.plan, self.solve32, self.error = A, None, None, None
         try:
-            self.plan = _factor_plans.get((A.indptr, A.indices), lambda: _factor_plan(A))
+            self.plan = _plan_for(A)
             self.solve32 = _factor(A, self.plan, np.float32)
         except RuntimeError as exc:
             self.error = exc
@@ -447,12 +434,12 @@ class _SaturationSolves:
         self.state, self.cfg, self.case, self.tau, self.t_next, self.coeffs = (
             state, cfg, case, tau, t_next, coeffs)
         self.helper = _helper_for()
-        self.lifts = {}
+        self.constraints = {}
         if self.helper is None:
             return
         matrices = {}
         for phase in "av":
-            matrices[phase], self.lifts[phase] = self._matrix(phase)
+            matrices[phase], *self.constraints[phase] = self._matrix(phase)
         try:
             self.helper.factor(matrices)
         except _HelperLost:
@@ -468,14 +455,16 @@ class _SaturationSolves:
                                        self.tau, velocity, phase,
                                        getattr(state, "sat_" + phase), p_new)
         if self.helper is None:
-            matrix, lift = self._matrix(phase)
-            x = _Factorization(matrix).solve(lift(rhs))
+            matrix, dofs, values = self._matrix(phase)
+            rhs[dofs] = values
+            x = _Factorization(matrix).solve(rhs)
         else:
-            b = self.lifts.pop(phase)(rhs)
+            dofs, values = self.constraints.pop(phase)
+            rhs[dofs] = values
             try:
-                x = self.helper.solve(phase, b)
+                x = self.helper.solve(phase, rhs)
             except _HelperLost:
-                x = _Factorization(self._matrix(phase)[0]).solve(b)
+                x = _Factorization(self._matrix(phase)[0]).solve(rhs)
         return DGField.from_vector(state.mesh, x, "sat_" + phase)
 
 

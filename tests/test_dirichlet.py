@@ -1,7 +1,7 @@
 """Strong Dirichlet data by row replacement on CSR matrices, and the replay
 contract of the three assemblies (``constrain=True`` equals
 ``apply_dirichlet`` applied to the ``constrain=False`` system, bit for
-bit)."""
+bit, and so does the saturation system the solver hands over)."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from dgflow import assembly
 from dgflow.assembly import (ConflictingConstraintError, LaggedCoefficients,
-                             SchemeConfig, apply_dirichlet)
+                             LinearSystem, SchemeConfig, apply_dirichlet)
 from dgflow.dg_core import DGField
 from dgflow.manufactured import gravity_case
 from dgflow.mesh import build_uniform_mesh
@@ -170,7 +170,9 @@ def step_mesh():
 
 @pytest.fixture(scope="module")
 def step_systems(step_mesh):
-    """Constrained and unconstrained systems of one gravity step on 6x6."""
+    """Constrained and unconstrained systems of one gravity step on 6x6, and
+    for the saturations a third: the one the solver hands over, from
+    ``_saturation_matrix`` and ``_saturation_rhs``."""
     case = gravity_case()
     mesh = step_mesh
     state = initialize(case, mesh)
@@ -195,22 +197,32 @@ def step_systems(step_mesh):
         return assembly.assemble_vapor(state, p_new, sa_new, velocity, mesh, cfg,
                                        case, tau, tau, coeffs, constrain=constrain)
 
-    return {name: (fn(True), fn(False)) for name, fn in
-            (("pressure", pressure), ("aqueous", aqueous), ("vapor", vapor))}
+    def handover(phase):
+        matrix, dofs, values = assembly._saturation_matrix(phase, mesh, cfg, case, tau,
+                                                           tau, coeffs)
+        rhs = assembly._saturation_rhs(mesh, coeffs, case, tau, tau, velocity, phase,
+                                       getattr(state, "sat_" + phase), p_new)
+        rhs[dofs] = values
+        return LinearSystem(matrix, rhs, dofs, values)
+
+    return {"pressure": (pressure(True), pressure(False)),
+            "aqueous": (aqueous(True), aqueous(False), handover("a")),
+            "vapor": (vapor(True), vapor(False), handover("v"))}
 
 
 @pytest.mark.parametrize("name", ["pressure", "aqueous", "vapor"])
 def test_constrained_assembly_is_apply_dirichlet_of_raw(step_systems, name):
-    constrained, raw = step_systems[name]
+    constrained, raw, *handover = step_systems[name]
     matrix, rhs = apply_dirichlet(raw.matrix, raw.rhs, raw.constrained_dofs,
                                   raw.constrained_values)
-    for got, want in ((constrained.matrix.data, matrix.data),
-                      (constrained.matrix.indices, matrix.indices),
-                      (constrained.matrix.indptr, matrix.indptr),
-                      (constrained.rhs, rhs)):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert np.array_equal(constrained.constrained_dofs, raw.constrained_dofs)
-    assert np.array_equal(constrained.constrained_values, raw.constrained_values)
+    for system in [constrained] + handover:
+        for got, want in ((system.matrix.data, matrix.data),
+                          (system.matrix.indices, matrix.indices),
+                          (system.matrix.indptr, matrix.indptr),
+                          (system.rhs, rhs),
+                          (system.constrained_dofs, raw.constrained_dofs),
+                          (system.constrained_values, raw.constrained_values)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("name", ["pressure", "aqueous", "vapor"])
@@ -229,13 +241,9 @@ def _same_memory(a, b):
 
 
 def test_all_systems_on_a_mesh_share_one_pattern(step_mesh, step_systems):
-    # constrained or not, every matrix keeps the mesh's index arrays
-    case = gravity_case()
-    state = initialize(case, step_mesh)
-    coeffs = LaggedCoefficients(step_mesh, case.fluids, state.sat_a, state.sat_v)
-    matrices = [system.matrix for pair in step_systems.values() for system in pair]
-    matrices += [assembly._saturation_matrix(phase, step_mesh, SchemeConfig(), case,
-                                             1 / 6, 1 / 6, coeffs)[0] for phase in "av"]
+    # constrained or not, handed over or not, every matrix keeps the mesh's
+    # index arrays
+    matrices = [system.matrix for systems in step_systems.values() for system in systems]
     pattern = assembly._groups(step_mesh).pattern
     for m in matrices:
         assert _same_memory(m.indices, pattern.indices)
@@ -243,8 +251,8 @@ def test_all_systems_on_a_mesh_share_one_pattern(step_mesh, step_systems):
 
 
 def test_assembled_patterns_are_read_only(step_systems):
-    for constrained, raw in step_systems.values():
-        for m in (constrained.matrix, raw.matrix):
+    for systems in step_systems.values():
+        for m in (system.matrix for system in systems):
             assert not m.indices.flags.writeable and not m.indptr.flags.writeable
             with pytest.raises(ValueError):
                 m.indices[0] = 1

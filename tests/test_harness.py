@@ -119,6 +119,16 @@ def test_identical_errors_give_zero_rate():
     assert rep.rates_p == [0.0]
 
 
+@pytest.mark.parametrize("coarse, fine", [(1e-3, 0.0), (0.0, 1e-3), (0.0, 0.0)])
+def test_zero_error_gives_nan_rate(coarse, fine):
+    # log2 of x/0 or 0/x has no value; the other unknowns keep their rates
+    lv = [LevelResult(0.5, 16, coarse, 2e-3, 3e-3),
+          LevelResult(0.25, 64, fine, 1e-3, 3e-3)]
+    rep = ConvergenceReport.from_levels("custom", lv)
+    assert math.isnan(rep.rates_p[0])
+    assert rep.rates_sa == [1.0] and rep.rates_sv == [0.0]
+
+
 # -- emission ----------------------------------------------------------------------
 
 def test_csv_round_trip(tmp_path, small_report):
@@ -197,7 +207,9 @@ def test_cli_bad_levels_exit_2():
 
 @pytest.mark.parametrize("args", [
     ["--theta", "2"], ["--alpha", "0"], ["--h0", "0"], ["--h0", "0.3"],
-    ["--tau-rule", "fixed", "--tau", "0.3"], ["--t-final", "-1"]])
+    ["--tau-rule", "fixed", "--tau", "0.3"], ["--t-final", "-1"],
+    ["--h0", "0.3", "--tau-rule", "fixed", "--tau", "0.05", "--t-final", "0.1",
+     "--levels", "3"]])
 def test_cli_bad_numeric_input_exits_2(args, capsys):
     # a scheme or ladder level that cannot be built is a configuration error
     assert cli_main(["--levels", "2", *args]) == 2
@@ -220,6 +232,37 @@ def test_cli_non_finite_field_exits_2(pressure, names, tmp_path, capsys):
 
 def test_cli_missing_config_file_exits_2():
     assert cli_main(["--config", "/nonexistent/path.cfg"]) == 2
+
+
+def test_h0_must_halve_the_meshes():
+    # 1/0.3 is not whole: the meshes would be 3x3, 7x7, 13x13
+    with pytest.raises(ConfigError, match=r"h0 = 0.3 .* nearest is 1/3$"):
+        small_config(h0=0.3, tau_rule="fixed", tau=0.05, t_final=0.1, levels=3)
+    assert small_config(h0=1 / 3, tau_rule="fixed", tau=0.05, t_final=0.1).level(1)[1] == 6
+
+
+def test_cli_missing_output_directory_exits_2_before_the_study(tmp_path, monkeypatch,
+                                                               capsys):
+    def study(config):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr(harness, "convergence_study", study)
+    out = tmp_path / "missing" / "x.csv"
+    assert cli_main(["--levels", "2", "--h0", "0.5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_exact_zero_error_writes_nan_rate(tmp_path, capsys):
+    # pressure 0 is exact on every mesh, so its error is 0.0 on both levels
+    out = tmp_path / "zero.csv"
+    assert cli_main(["--case", "custom", "--pressure-expr", "0", "--sat-a-expr", "1/4",
+                     "--sat-v-expr", "1/2", "--levels", "2", "--h0", "0.5",
+                     "--t-final", "0", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()]
+    assert rows[2][2:4] == ["0.000000e+00", "nan"]
+    assert "pressure nan" in capsys.readouterr().out
 
 
 def test_cli_small_run(tmp_path, capsys):

@@ -203,7 +203,7 @@ def test_cold_and_warm_plans_give_identical_bits():
     state = initialize(case, build_uniform_mesh(6, 6))
     _clear_plans()
     cold = advance(state, 1 / 6, cfg, case)
-    assert len(solver._factor_plans.entries) == 1   # one mesh pattern
+    assert len(solver._factor_plans) == 1   # one mesh pattern
     warm = advance(state, 1 / 6, cfg, case)
     for a, b in ((cold.pressure, warm.pressure), (cold.sat_a, warm.sat_a),
                  (cold.sat_v, warm.sat_v)):
@@ -230,8 +230,8 @@ def test_patterns_with_equal_indptr_never_share_a_plan():
         x = solve_linear(_system(A, b))
         assert np.linalg.norm(A @ x - b) <= 1e-12 * (1.0 + np.linalg.norm(b))
         assert np.allclose(x, np.linalg.solve(A.toarray(), b), rtol=1e-12, atol=0)
-    assert len(solver._factor_plans.entries) == 2
-    orders = [plan.order for _, plan in solver._factor_plans.entries]
+    assert len(solver._factor_plans) == 2
+    orders = [plan.order for _, plan in solver._factor_plans]
     assert not np.array_equal(orders[0], orders[1])
 
 
@@ -247,7 +247,7 @@ def test_factor_plan_keys_do_not_follow_the_callers_arrays():
     indices[:] = A2.indices
     x = solve_linear(_system(sps.csr_matrix((A2.data, indices, A2.indptr), shape=(9, 9)), b))
     assert np.allclose(x, np.linalg.solve(A2.toarray(), b), rtol=1e-12, atol=0)
-    assert len(solver._factor_plans.entries) == 2
+    assert len(solver._factor_plans) == 2
 
 
 def _splu_calls(monkeypatch):

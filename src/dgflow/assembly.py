@@ -91,8 +91,8 @@ class SchemeConfig:
                 raise ValueError(f"theta_{key} must be -1, 0 or 1, got {theta}")
             if np.ndim(alpha) != 0:
                 raise ValueError(f"alpha_{key} must be a scalar")
-            if alpha <= 0:
-                raise ValueError(f"alpha_{key} must be positive, got {alpha}")
+            if not (np.isfinite(alpha) and alpha > 0):
+                raise ValueError(f"alpha_{key} must be finite and positive, got {alpha}")
 
     def variant(self, equation: str):
         """``(theta, alpha)`` of ``equation``: 'pressure', 'aqueous' or 'vapor'."""

@@ -72,6 +72,7 @@ class RunConfig:
             raise ConfigError(f"h0 must be positive, got {self.h0}")
         try:
             self.scheme()
+            self.fluids()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         for level in range(self.levels):
@@ -95,15 +96,17 @@ class RunConfig:
         # SchemeConfig's fields: theta_p, theta_a, theta_v, alpha_p, alpha_a, alpha_v
         return SchemeConfig(*self.theta, *self.alpha)
 
+    def fluids(self) -> FluidProperties:
+        fluids = FluidProperties() if self.case == "custom" else case_fluids(self.case)
+        return fluids if self.gravity is None else replace(fluids, gravity=tuple(self.gravity))
+
     def build_case(self) -> ManufacturedCase:
         if self.case == "custom":
-            fluids = FluidProperties(gravity=self.gravity or (0.0, 0.0))
-            return ManufacturedCase("custom", fluids, self.pressure_expr,
+            return ManufacturedCase("custom", self.fluids(), self.pressure_expr,
                                     self.sat_a_expr, self.sat_v_expr)
         if self.gravity is None:
             return case_by_name(self.case)
-        fluids = replace(case_fluids(self.case), gravity=tuple(self.gravity))
-        return ManufacturedCase(self.case, fluids)
+        return ManufacturedCase(self.case, self.fluids())
 
 
 #: the unknowns' suffixes of ``LevelResult.err_*`` and ``ConvergenceReport.rates_*``
@@ -282,8 +285,10 @@ def cli_main(argv=None) -> int:
         return 2
     out = config.out or f"{config.case}_{config.tau_rule}.{FORMATS[config.fmt][0]}"
     folder = os.path.dirname(os.path.abspath(out))
-    if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
-        print(f"error: cannot write {out}: {folder} is not a writable directory", file=sys.stderr)
+    writable = os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)
+    if os.path.isdir(out) or not writable:
+        why = "it is a directory" if writable else f"{folder} is not a writable directory"
+        print(f"error: cannot write {out}: {why}", file=sys.stderr)
         return 2
     try:
         report = convergence_study(config)

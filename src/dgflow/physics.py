@@ -47,14 +47,17 @@ class FluidProperties:
     gravity: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        if min(self.mu_l, self.mu_v, self.mu_a) <= 0:
-            raise ValueError("viscosities must be positive")
-        if not (0.0 < self.porosity <= 1.0):
-            raise ValueError("porosity must lie in (0, 1]")
         if np.ndim(self.permeability) != 0:
             raise ValueError("permeability must be a scalar")
-        if self.permeability <= 0:
-            raise ValueError("permeability must be positive")
+        # one field at a time: min() of values with a NaN depends on their order
+        for name in ("mu_l", "mu_v", "mu_a", "permeability", "rho_l", "rho_v", "rho_a", "gravity"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("mu_l", "mu_v", "mu_a", "permeability"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not (0.0 < self.porosity <= 1.0):
+            raise ValueError("porosity must lie in (0, 1]")
 
     @property
     def gravity_vector(self) -> np.ndarray:

@@ -56,6 +56,7 @@ import scipy.sparse.linalg as spla
 from . import assembly
 from .assembly import (LaggedCoefficients, LinearSystem, NonPositiveCoefficientError,
                        SchemeConfig)
+# coercivity_norm has no caller here; perfbench's traced ladder patches it by name
 from .dg_core import DGField, coercivity_norm, l2_error, l2_project
 from .manufactured import UNKNOWNS, NonFiniteFieldError
 from .mesh import Mesh
@@ -105,9 +106,9 @@ class TimeConfig:
     n_steps: int
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("time step must be positive")
-        if abs(self.n_steps * self.tau - self.t_final) > 1e-12:
+        if not self.tau > 0:   # NaN fails this check and the next
+            raise ValueError(f"time step must be positive, got {self.tau}")
+        if not abs(self.n_steps * self.tau - self.t_final) <= 1e-12:
             raise ValueError(
                 f"n_steps * tau = {self.n_steps * self.tau} != T = {self.t_final}")
 
@@ -195,12 +196,11 @@ class _Factorization:
     def solve(self, b: np.ndarray) -> np.ndarray:
         bound = SOLVER_TOL * (1.0 + np.linalg.norm(b))
         try:
-            x = self._refined(b, bound)
+            x, res = self._refined(b, bound)
         except RuntimeError as exc:
             raise SingularSystemError(str(exc)) from exc
         if not np.all(np.isfinite(x)):
             raise SingularSystemError("direct solve returned non-finite values")
-        res = np.linalg.norm(self.A @ x - b)
         if res > bound:
             raise SingularSystemError(
                 f"direct solve residual {res:.3e} exceeds {bound:.3e}")
@@ -213,10 +213,10 @@ class _Factorization:
             try:
                 x, res = _refine(self.A, b, self.solve32)
                 if res <= bound:
-                    return x
+                    return x, res
             except RuntimeError:
                 pass
-        return _refine(self.A, b, _factor(self.A, self.plan, np.float64))[0]
+        return _refine(self.A, b, _factor(self.A, self.plan, np.float64))
 
 
 def _factor_plan(A: sps.csr_matrix) -> SimpleNamespace:
@@ -505,39 +505,30 @@ def advance(state: PhaseState, tau: float, cfg: SchemeConfig, case) -> PhaseStat
 
 @dataclass
 class ErrorReport:
-    """Final-time error measures of one run."""
+    """Final-time L2 errors of one run, its size and whether both
+    saturations stayed in (0, 1) at every step."""
 
     h: float
     dofs: int
     l2_pressure: float
     l2_sat_a: float
     l2_sat_v: float
-    energy_pressure: float
-    energy_sat_a: float
-    energy_sat_v: float
     saturations_in_bounds: bool
 
 
 def run(case, mesh: Mesh, time: TimeConfig, cfg: SchemeConfig):
     """March the scheme to the final time and report errors.
 
-    Returns ``(final_state, ErrorReport)`` with elementwise L2 errors
-    against the exact fields and coercivity-norm errors against their L2
-    projections at the final time.
+    Returns ``(final_state, ErrorReport)`` with the elementwise L2 errors
+    against the exact fields at the final time, the tables' only measure.
     """
     state = initialize(case, mesh)
     in_bounds = _saturations_in_bounds(state)
     for _ in range(time.n_steps):
         state = advance(state, time.tau, cfg, case)
         in_bounds = in_bounds and _saturations_in_bounds(state)
-
-    t_end = state.time
-    errors = {}
-    for u in UNKNOWNS:
-        exact, field = getattr(case, u), getattr(state, u)
-        proj = l2_project(functools.partial(exact, t_end), mesh)
-        errors["l2_" + u] = l2_error(field, exact, t_end)
-        errors["energy_" + u] = coercivity_norm(DGField(mesh, field.coeffs - proj.coeffs))
+    errors = {"l2_" + u: l2_error(getattr(state, u), getattr(case, u), state.time)
+              for u in UNKNOWNS}
     return state, ErrorReport(h=mesh.dx, dofs=4 * mesh.n_elements,
                               saturations_in_bounds=in_bounds, **errors)
 

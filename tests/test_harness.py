@@ -205,13 +205,25 @@ def test_cli_bad_levels_exit_2():
     assert cli_main(["--case", "constant_densities", "--levels", "1"]) == 2
 
 
+def _no_study(monkeypatch):
+    def study(config):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr(harness, "convergence_study", study)
+
+
 @pytest.mark.parametrize("args", [
     ["--theta", "2"], ["--alpha", "0"], ["--h0", "0"], ["--h0", "0.3"],
     ["--tau-rule", "fixed", "--tau", "0.3"], ["--t-final", "-1"],
     ["--h0", "0.3", "--tau-rule", "fixed", "--tau", "0.05", "--t-final", "0.1",
-     "--levels", "3"]])
-def test_cli_bad_numeric_input_exits_2(args, capsys):
-    # a scheme or ladder level that cannot be built is a configuration error
+     "--levels", "3"],
+    ["--h0", "0.5", "--t-final", "nan"], ["--h0", "0.5", "--tau-rule", "fixed", "--tau", "inf"],
+    ["--alpha", "nan"], ["--alpha", "1,inf,1"], ["--gravity", "nan,0"],
+    ["--case", "gravity", "--gravity", "0,-inf"]])
+def test_cli_bad_numeric_input_exits_2(args, monkeypatch, capsys):
+    # a scheme, fluid or ladder level that cannot be built is a
+    # configuration error, found before the study starts
+    _no_study(monkeypatch)
     assert cli_main(["--levels", "2", *args]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -243,15 +255,23 @@ def test_h0_must_halve_the_meshes():
 
 def test_cli_missing_output_directory_exits_2_before_the_study(tmp_path, monkeypatch,
                                                                capsys):
-    def study(config):
-        raise AssertionError("the study ran")
-
-    monkeypatch.setattr(harness, "convergence_study", study)
+    _no_study(monkeypatch)
     out = tmp_path / "missing" / "x.csv"
     assert cli_main(["--levels", "2", "--h0", "0.5", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_output_naming_a_directory_exits_2_before_the_study(tmp_path, monkeypatch,
+                                                                capsys):
+    _no_study(monkeypatch)
+    (tmp_path / "table.csv").mkdir()
+    assert cli_main(["--levels", "2", "--h0", "0.5", "--out", str(tmp_path / "table.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {tmp_path / 'table.csv'}: it is a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+    assert list((tmp_path / "table.csv").iterdir()) == []
 
 
 def test_cli_exact_zero_error_writes_nan_rate(tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dgflow import physics
+from dgflow.assembly import SchemeConfig
 from dgflow.manufactured import (constant_densities_case, gravity_case,
                                  ManufacturedCase)
 from dgflow.physics import (CapillaryDomainError, FluidProperties, capillary_derivatives,
@@ -21,6 +22,23 @@ def central_diff(fn, x, h=1e-6):
 def test_array_permeability_is_refused():
     with pytest.raises(ValueError, match="permeability"):
         FluidProperties(permeability=np.full(4, 2.0))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make, name, value", [
+    *((FluidProperties, name, value) for name in ("mu_l", "mu_v", "mu_a", "permeability")
+      for value in (NAN, INF, 0.0)),
+    *((FluidProperties, name, value) for name in ("rho_l", "rho_v", "rho_a")
+      for value in (NAN, -INF)),
+    (FluidProperties, "gravity", (NAN, 0.0)), (FluidProperties, "gravity", (0.0, -INF)),
+    *((SchemeConfig, name, value) for name in ("alpha_p", "alpha_a", "alpha_v")
+      for value in (NAN, INF, 0.0))])
+def test_non_finite_or_non_positive_numbers_are_refused_by_name(make, name, value):
+    # checked field by field: min() of values with a NaN depends on their order
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        make(**{name: value})
 
 
 # -- closures ----------------------------------------------------------------

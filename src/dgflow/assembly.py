@@ -210,13 +210,13 @@ def _groups(mesh: Mesh) -> SimpleNamespace:
 def _block_pattern(mesh: Mesh, interior) -> SimpleNamespace:
     """CSR structure of the DG matrices and the block-to-CSR scatter map.
 
-    The pattern never changes for a mesh, so assembly writes only ``data``:
-    ``np.bincount(scatter, weights)`` over the block entries in the order
-    :func:`_diffusion_parts` emits them (volume 4x4 blocks, then each
-    interior group's 8x8 face blocks).  The face blocks are kept whole,
-    although the entries coupling two nodes off the face are always zero:
-    with them, minimum-degree ordering finds a factorization with about a
-    fifth less fill on these meshes.
+    The pattern never changes for a mesh, so assembly writes only ``data``
+    (``np.bincount(scatter, weights)`` over the block entries in the order
+    of :func:`_diffusion_weights`: volume 4x4 blocks, then each interior
+    group's 8x8 face blocks), then the mass and Dirichlet rows in place; a
+    hand-over batch carries the pattern once.  Face blocks are kept whole,
+    although entries coupling two nodes off the face are always zero: with
+    them, minimum-degree ordering finds about a fifth less fill here.
     """
     n = 4 * mesh.n_elements
     blocks = [tables(mesh).elem_dofs] + [g.dofs8 for g in interior]
@@ -280,10 +280,8 @@ def _closures(sa, sv, fluids) -> SimpleNamespace:
     """
     s = physics.clamp(sa, sv)
     mob = physics.mobilities(s, fluids)
-    _, dpcv = physics.capillary_pressure_v(s.s_v)
-    _, dpca, dpca_plus = physics.capillary_pressure_a(s.s_a)
-    return SimpleNamespace(kappa=fluids.permeability, mob=mob, dpcv=dpcv, dpca=dpca,
-                           dpca_plus=dpca_plus)
+    dpca, _, dpcv, _ = physics.capillary_derivatives(s.s_a, s.s_v)
+    return SimpleNamespace(kappa=fluids.permeability, mob=mob, dpcv=dpcv, dpca=dpca)
 
 
 def _diffusivity(c: SimpleNamespace, equation: str):
@@ -291,7 +289,7 @@ def _diffusivity(c: SimpleNamespace, equation: str):
     if equation == "pressure":
         return c.kappa * c.mob.lam_t
     if equation == "aqueous":
-        return c.kappa * c.mob.lam_a * c.dpca_plus
+        return c.kappa * c.mob.lam_a * -c.dpca
     if equation == "vapor":
         return c.kappa * c.mob.lam_v * c.dpcv
     raise ValueError(equation)
@@ -324,16 +322,17 @@ def _face_average(w1, w2, f1, f2):
             + functools.reduce(np.multiply, f2, o2[:, None]))
 
 
-def _diffusion_parts(mesh, coeffs, equation, alpha, theta):
+def _diffusion_weights(mesh, coeffs, equation, alpha, theta):
     """Block entries of the volume + interior-face diffusion form, in the
-    order of the mesh's scatter map (see :func:`_block_pattern`)."""
-    t = tables(mesh)
+    order of the mesh's scatter map (:func:`_block_pattern`), in one array."""
+    t, groups = tables(mesh), _groups(mesh)
+    weights = np.empty(len(groups.pattern.scatter))
     cw = _diffusivity(coeffs.vol, equation) * t.wdet
-    vol = (np.einsum("eq,jq,kq->ejk", cw, t.gx, t.gx)
-           + np.einsum("eq,jq,kq->ejk", cw, t.gy, t.gy))
-    data = [vol.ravel()]
+    start = 16 * mesh.n_elements
+    weights[:start] = (np.einsum("eq,jq,kq->ejk", cw, t.gx, t.gx)
+                       + np.einsum("eq,jq,kq->ejk", cw, t.gy, t.gy)).ravel()
 
-    for g in _groups(mesh).interior:
+    for g in groups.interior:
         n = len(g.fids)
         A1, A2 = (_diffusivity(s, equation) for s in coeffs.face[g.key])
         o1, o2, penalty = _face_weights(A1, A2, equation, alpha)
@@ -343,10 +342,11 @@ def _diffusion_parts(mesh, coeffs, equation, alpha, theta):
         C[:, :, :4] = (o1[:, None] * (A1 @ g.T1.T)).reshape(n, 8, 4)
         C[:, :, 4:] = (o2[:, None] * (A2 @ g.T2.T)).reshape(n, 8, 4)
         hC = g.h[:, None, None] * C
-        blocks = penalty[:, None, None] * g.JwJ - hC + theta * hC.transpose(0, 2, 1)
-        data.append(blocks.ravel())
+        blocks = weights[start:start + 64 * n].reshape(n, 8, 8)
+        blocks[...] = penalty[:, None, None] * g.JwJ - hC + theta * hC.transpose(0, 2, 1)
+        start += 64 * n
 
-    return data
+    return weights
 
 
 def form_matrix(mesh, cfg: SchemeConfig, coeffs: LaggedCoefficients,
@@ -356,9 +356,8 @@ def form_matrix(mesh, cfg: SchemeConfig, coeffs: LaggedCoefficients,
     the equation's theta and alpha from ``cfg``."""
     theta, alpha = cfg.variant(equation)
     p = _groups(mesh).pattern
-    parts = _diffusion_parts(mesh, coeffs, equation, alpha, theta)
-    data = np.bincount(p.scatter, weights=np.concatenate(parts), minlength=p.nnz)
-    return _on_pattern(p, data)
+    weights = _diffusion_weights(mesh, coeffs, equation, alpha, theta)
+    return _on_pattern(p, np.bincount(p.scatter, weights=weights, minlength=p.nnz))
 
 
 # -- right-hand sides --------------------------------------------------------
@@ -522,12 +521,12 @@ def _dedupe_constraints(dofs, vals):
 def apply_dirichlet(matrix, rhs, dofs, values):
     """Impose prescribed nodal values strongly, by row replacement.
 
-    A constrained row becomes a unit row: its stored entries stay, as
-    explicit zeros, except its diagonal, which becomes 1, and the
-    right-hand side carries the value.  Constrained columns are not
-    eliminated, so the result has the input's CSR pattern (a non-canonical
-    input is summed first).  Every constrained row must store its diagonal
-    entry, as every DG matrix does.  Returns the new ``(csr_matrix, rhs)``.
+    A constrained row becomes a unit row: its stored entries stay as
+    explicit zeros, its diagonal (which it must store, as every DG matrix
+    does) becomes 1, and the right-hand side carries the value.  Columns
+    are not eliminated, so the result has the input's CSR pattern (summed
+    first if not canonical).  Returns a new ``(csr_matrix, rhs)`` and leaves
+    the input alone; assembly replaces the rows of its own in place.
     """
     dofs = np.asarray(dofs, dtype=np.int64)
     values = np.asarray(values, dtype=float)
@@ -535,32 +534,32 @@ def apply_dirichlet(matrix, rhs, dofs, values):
     if bad.size:
         raise ValueError(f"DOF {bad.min()} received a non-finite value")
     dofs, values = _dedupe_constraints(dofs, values)
-    matrix = _constrain(matrix, dofs)
-    rhs = np.array(rhs, dtype=float, copy=True)
-    rhs[dofs] = values
-    return matrix, rhs
-
-
-def _constrain(matrix, dofs):
-    """``matrix`` with the rows ``dofs`` made unit rows, the matrix half of
-    :func:`apply_dirichlet`; the right-hand side takes ``rhs[dofs] = values``."""
     A = matrix.tocsr()
-    if not A.has_canonical_format:
+    if A.has_canonical_format:   # a new matrix on the input's index arrays
+        A = sps.csr_matrix((A.data.copy(), A.indices, A.indptr), shape=A.shape)
+    else:
         A = A.copy()
         A.sum_duplicates()
+    _constrain(A, dofs)
+    rhs = np.array(rhs, dtype=float, copy=True)
+    rhs[dofs] = values
+    return A, rhs
+
+
+def _constrain(A, dofs):
+    """Make the rows ``dofs`` (sorted, unique) of the canonical CSR ``A`` unit
+    rows, in place; the right-hand side takes ``rhs[dofs] = values``."""
     # the stored entries of the constrained rows, row after row
     counts = np.diff(A.indptr)[dofs]
     slots = (np.repeat(A.indptr[dofs] - (np.cumsum(counts) - counts), counts)
              + np.arange(counts.sum()))
     rows = np.repeat(dofs, counts)
     diagonal = A.indices[slots] == rows
-    missing = np.setdiff1d(dofs, rows[diagonal])
-    if missing.size:
+    if np.count_nonzero(diagonal) != len(dofs):
+        missing = np.setdiff1d(dofs, rows[diagonal])
         raise ValueError(f"constrained row {missing[0]} stores no diagonal entry")
-    data = A.data.copy()
-    data[slots] = 0.0
-    data[slots[diagonal]] = 1.0
-    return sps.csr_matrix((data, A.indices, A.indptr), shape=A.shape)
+    A.data[slots] = 0.0
+    A.data[slots[diagonal]] = 1.0
 
 
 # -- the three assemblies ----------------------------------------------------
@@ -611,7 +610,7 @@ def _system(matrix, rhs, mesh, case, unknown, t_next, constrain) -> LinearSystem
     ``matrix`` and, in place, on ``rhs`` when ``constrain`` is set."""
     dofs, vals = dirichlet_constraints(mesh, case, unknown, t_next)
     if constrain:
-        matrix = _constrain(matrix, dofs)
+        _constrain(matrix, dofs)
         rhs[dofs] = vals
     return LinearSystem(matrix, rhs, dofs, vals)
 
@@ -631,7 +630,8 @@ def _saturation_matrix(phase, mesh, cfg, case, tau, t_next, coeffs):
     takes as ``rhs[dofs] = values``.  ``assemble_*`` gives the same bits."""
     dofs, vals = dirichlet_constraints(mesh, case, "sat_" + phase, t_next)
     matrix = _saturation_form(phase, mesh, cfg, case, tau, coeffs)
-    return _constrain(matrix, dofs), dofs, vals
+    _constrain(matrix, dofs)
+    return matrix, dofs, vals
 
 
 def _add_mass(data, mesh, scale):

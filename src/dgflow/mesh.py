@@ -9,6 +9,7 @@ read-only numpy arrays so a mesh can be shared freely once built.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -43,7 +44,8 @@ class Face:
 
 class Mesh:
     """Uniform rectangular grid of ``nx * ny`` quadrilateral elements (each
-    count an integer >= 1) on the rectangle ``domain = (x0, y0, x1, y1)``.
+    count an integer >= 1) on the rectangle ``domain = (x0, y0, x1, y1)``,
+    whose bounds are finite with ``x1 > x0`` and ``y1 > y0``.
 
     Element ``(i, j)`` occupies ``[x0+i*dx, x0+(i+1)*dx] x [y0+j*dy, ...]``
     and has flat index ``j*nx + i``.  Faces are numbered with all vertical
@@ -57,7 +59,7 @@ class Mesh:
         if not all(isinstance(n, numbers.Integral) and n >= 1 for n in (nx, ny)):
             raise ValueError(f"element counts must be integers >= 1, got nx={nx!r}, "
                              f"ny={ny!r}")
-        if x1 <= x0 or y1 <= y0:
+        if not (all(map(math.isfinite, (x0, y0, x1, y1))) and x1 > x0 and y1 > y0):
             raise InvalidDomainError(f"degenerate domain rectangle {domain}")
 
         self.nx = int(nx)

@@ -49,6 +49,8 @@ class FluidProperties:
     def __post_init__(self):
         if np.ndim(self.permeability) != 0:
             raise ValueError("permeability must be a scalar")
+        if np.shape(self.gravity) != (2,):
+            raise ValueError(f"gravity must have two components, got {self.gravity}")
         # one field at a time: min() of values with a NaN depends on their order
         for name in ("mu_l", "mu_v", "mu_a", "permeability", "rho_l", "rho_v", "rho_a", "gravity"):
             if not np.all(np.isfinite(getattr(self, name))):

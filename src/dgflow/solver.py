@@ -43,6 +43,7 @@ import atexit
 import functools
 import multiprocessing
 import multiprocessing.connection
+import numbers
 import os
 import subprocess
 import sys
@@ -106,8 +107,10 @@ class TimeConfig:
     n_steps: int
 
     def __post_init__(self):
-        if not self.tau > 0:   # NaN fails this check and the next
+        if not self.tau > 0:   # NaN fails this check and the last
             raise ValueError(f"time step must be positive, got {self.tau}")
+        if not (isinstance(self.n_steps, numbers.Integral) and self.n_steps >= 0):
+            raise ValueError(f"n_steps must be an integer >= 0, got {self.n_steps!r}")
         if not abs(self.n_steps * self.tau - self.t_final) <= 1e-12:
             raise ValueError(
                 f"n_steps * tau = {self.n_steps * self.tau} != T = {self.t_final}")
@@ -221,28 +224,22 @@ class _Factorization:
 
 def _factor_plan(A: sps.csr_matrix) -> SimpleNamespace:
     """The symmetric minimum-degree order of ``A``'s pattern and the map
-    from its CSR ``data`` to the CSC arrays of ``A[q][:, q]``.
-
-    The order is read off a single-precision factorization (double if that
-    one fails): it depends on the pattern only, and the smaller factor keeps
-    the peak memory of the first solve at that of the later ones.
+    from its CSR ``data`` to the CSC arrays of ``A[q][:, q]``: scipy's
+    permutation of the entries' ids.  The order is read off a
+    single-precision factorization (double if that one fails), freed before
+    the map is built: it depends on the pattern only, and the smaller factor
+    keeps the peak memory of the first solve at that of the later ones.
     """
-    n = A.shape[0]
-    csc = A.tocsc()
     try:
-        lu = spla.splu(csc.astype(np.float32), permc_spec="MMD_AT_PLUS_A")
+        perm_c = spla.splu(A.tocsc().astype(np.float32), permc_spec="MMD_AT_PLUS_A").perm_c
     except RuntimeError:
-        lu = spla.splu(csc, permc_spec="MMD_AT_PLUS_A")
-    order = np.argsort(lu.perm_c).astype(A.indices.dtype)
-    position = np.empty(n, dtype=A.indices.dtype)
-    position[order] = np.arange(n, dtype=A.indices.dtype)
-    rows = position[np.repeat(np.arange(n), np.diff(A.indptr))]
-    cols = position[A.indices]
-    gather = np.lexsort((rows, cols)).astype(A.indices.dtype)
-    indptr = np.zeros(n + 1, dtype=A.indices.dtype)
-    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
-    return SimpleNamespace(order=order, gather=gather, indptr=indptr,
-                           indices=rows[gather])
+        perm_c = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").perm_c
+    order = np.argsort(perm_c).astype(A.indices.dtype)
+    ids = sps.csr_matrix((np.arange(1, A.nnz + 1, dtype=A.indices.dtype), A.indices,
+                          A.indptr), shape=A.shape)
+    permuted = ids[order][:, order].tocsc()
+    return SimpleNamespace(order=order, gather=permuted.data - 1, indptr=permuted.indptr,
+                           indices=permuted.indices)
 
 
 def _factor(A, plan, dtype):
@@ -295,10 +292,10 @@ class _Helper:
     even after the child has exited.  The caller waits for its imports,
     because a step run meanwhile would compete with them.
 
-    A factor request sends every matrix of one batch before the helper
-    factors the first; its own plan cache recognises a pattern it has
-    seen.  Any failure while a request is in flight shuts the helper down,
-    so no later request reads a stale reply.
+    A factor request sends the batch's one pattern, then every matrix's
+    data, before the helper factors the first; its own plan cache
+    recognises a pattern it has seen.  Any failure while a request is in
+    flight shuts the helper down, so no later request reads a stale reply.
     """
 
     def __init__(self):
@@ -332,11 +329,14 @@ class _Helper:
         # the arrays follow the header as raw bytes: a pickled batch is a
         # transient copy of both matrices, which at 64x64 raised this
         # process's peak memory by about 3 MB (2%)
-        arrays = [np.ascontiguousarray(a) for A in matrices.values()
-                  for a in (A.indptr, A.indices, A.data)]
+        if len({tuple((a.ctypes.data, a.shape, a.dtype) for a in (A.indptr, A.indices))
+                for A in matrices.values()}) != 1:   # by memory: constant time
+            raise ValueError("the matrices of a batch must share one pattern")
+        first = next(iter(matrices.values()))
+        arrays = [first.indptr, first.indices] + [A.data for A in matrices.values()]
         self._call(self.conn.send, ("factor", list(matrices), [a.dtype.str for a in arrays]))
         for a in arrays:
-            self._call(self.conn.send_bytes, a)
+            self._call(self.conn.send_bytes, np.ascontiguousarray(a))
 
     def solve(self, key, b: np.ndarray) -> np.ndarray:
         self._call(self.conn.send, ("solve", key, b))
@@ -382,11 +382,10 @@ def _serve(fd: int) -> None:
         except EOFError:
             return
         if request[0] == "factor":
-            for i, key in enumerate(request[1]):
-                indptr, indices, data = arrays[3 * i:3 * i + 3]
-                n = len(indptr) - 1
-                factors[key] = _Factorization(
-                    sps.csr_matrix((data, indices, indptr), shape=(n, n)))
+            indptr, indices, *data = arrays
+            n = len(indptr) - 1
+            for key, d in zip(request[1], data):
+                factors[key] = _Factorization(sps.csr_matrix((d, indices, indptr), shape=(n, n)))
             continue
         _, key, b = request
         try:

@@ -444,7 +444,7 @@ def test_form_matrix_sums_as_a_64_bit_scatter_map(equation):
     pattern = assembly._groups(mesh).pattern
     assert pattern.scatter.dtype == np.int32
     theta, alpha = cfg.variant(equation)
-    weights = np.concatenate(assembly._diffusion_parts(mesh, coeffs, equation, alpha, theta))
+    weights = assembly._diffusion_weights(mesh, coeffs, equation, alpha, theta)
     wide = np.bincount(pattern.scatter.astype(np.int64), weights=weights,
                        minlength=pattern.nnz)
     data = form_matrix(mesh, cfg, coeffs, equation).data

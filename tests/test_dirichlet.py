@@ -250,6 +250,30 @@ def test_all_systems_on_a_mesh_share_one_pattern(step_mesh, step_systems):
         assert _same_memory(m.indptr, pattern.indptr)
 
 
+def test_assembly_replaces_rows_in_the_matrix_it_built(monkeypatch):
+    # the constrained matrix is the one form_matrix returned, its data written
+    # in place: no copy of data, no second matrix
+    case = gravity_case()
+    mesh = build_uniform_mesh(3, 3)
+    state = initialize(case, mesh)
+    cfg = SchemeConfig()
+    coeffs = LaggedCoefficients(mesh, case.fluids, state.sat_a, state.sat_v)
+    built = []
+    form_matrix = assembly.form_matrix
+
+    def spy(*args):
+        built.append(form_matrix(*args))
+        return built[-1]
+
+    monkeypatch.setattr(assembly, "form_matrix", spy)
+    matrices = [assembly._saturation_matrix(phase, mesh, cfg, case, 0.1, 0.1, coeffs)[0]
+                for phase in "av"]
+    matrices.append(assembly.assemble_pressure(state, mesh, cfg, case, 0.1, coeffs).matrix)
+    assert len(built) == 3
+    for matrix, raw in zip(matrices, built):
+        assert matrix is raw and _same_memory(matrix.data, raw.data)
+
+
 def test_assembled_patterns_are_read_only(step_systems):
     for systems in step_systems.values():
         for m in (system.matrix for system in systems):

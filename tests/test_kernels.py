@@ -132,14 +132,16 @@ def lagged():
 @pytest.mark.parametrize("equation", EQUATIONS)
 def test_diffusion_blocks_match_einsum_reference(lagged, equation, theta):
     mesh, coeffs, alpha = lagged["mesh"], lagged["coeffs"], lagged["alpha"]
-    parts = assembly._diffusion_parts(mesh, coeffs, equation, alpha, theta)
+    weights = assembly._diffusion_weights(mesh, coeffs, equation, alpha, theta)
     # the volume kernel is the reference formula itself: bit for bit
-    assert np.array_equal(parts[0], ref_volume_blocks(mesh, coeffs, equation).ravel())
-    groups = assembly._groups(mesh).interior
-    assert len(parts) == 1 + len(groups)
-    for grp, data in zip(groups, parts[1:]):
-        assert_close(data.reshape(-1, 8, 8),
+    start = 16 * mesh.n_elements
+    assert np.array_equal(weights[:start], ref_volume_blocks(mesh, coeffs, equation).ravel())
+    for grp in assembly._groups(mesh).interior:
+        stop = start + 64 * len(grp.fids)
+        assert_close(weights[start:stop].reshape(-1, 8, 8),
                      ref_face_blocks(mesh, coeffs, equation, alpha, theta, grp))
+        start = stop
+    assert start == len(weights)
 
 
 def _right_hand_sides(d):

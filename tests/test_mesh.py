@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -24,11 +26,13 @@ def test_uniform_face_lengths():
     assert np.allclose(m.face_length, 0.25)
 
 
-def test_invalid_domain_raises():
+@pytest.mark.parametrize("domain", [(0.0, 0.0, 0.0, 1.0), (0.0, 2.0, 1.0, 1.0),
+                                    (0.0, 0.0, math.nan, 1.0), (math.nan, 0.0, 1.0, 1.0),
+                                    (0.0, 0.0, math.inf, 1.0), (0.0, -math.inf, 1.0, 1.0)])
+def test_invalid_domain_raises(domain):
+    # non-finite bounds would give a mesh with dx or dy of nan or inf
     with pytest.raises(InvalidDomainError):
-        build_uniform_mesh(2, 2, (0.0, 0.0, 0.0, 1.0))
-    with pytest.raises(InvalidDomainError):
-        build_uniform_mesh(2, 2, (0.0, 2.0, 1.0, 1.0))
+        build_uniform_mesh(2, 2, domain)
 
 
 @pytest.mark.parametrize("nx, ny", [(2.0, 2), (2.5, 2), (2, "2"), (2, None), (0, 2)])

@@ -66,6 +66,19 @@ def test_time_config_consistency():
             TimeConfig(tau, t_final, n_steps)
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda: FluidProperties(gravity=(0.0,)), "gravity"),
+    (lambda: FluidProperties(gravity=(0.0, -0.1, 0.3)), "gravity"),
+    (lambda: TimeConfig(0.25, 1.0, 4.0), "n_steps"),
+    (lambda: TimeConfig(0.25, -0.25, -1), "n_steps")],
+    ids=["gravity-1", "gravity-3", "n_steps-float", "n_steps-negative"])
+def test_inputs_that_would_fail_late_are_refused_by_name(make, field):
+    # a one-component gravity failed at the first step, a third component was
+    # dropped; a float n_steps failed in run, a negative one marched no step
+    with pytest.raises(ValueError, match=f"^{field} must "):
+        make()
+
+
 # -- initialization ---------------------------------------------------------------
 
 def test_initialize_constant_fields():

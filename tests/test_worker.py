@@ -2,11 +2,13 @@
 errors that name the step, recovery when the helper dies, and no process
 left behind."""
 
+import multiprocessing
 import os
 import pathlib
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -184,6 +186,96 @@ def test_helper_lost_during_a_step(case, start, fresh_helper, monkeypatch):
 
     monkeypatch.setattr(solver._Helper, "factor", factor)
     _assert_same_bits(advance(start, TAU, cfg, case), expected)
+
+
+# -- one pattern per hand-over batch ----------------------------------------------
+
+class _Recorder:
+    """A pipe end that keeps what is sent through it."""
+
+    def __init__(self):
+        self.objects, self.arrays = [], []
+
+    def send(self, obj):
+        self.objects.append(obj)
+
+    def send_bytes(self, buf):
+        self.arrays.append(bytes(buf))
+
+
+def _recording_helper(conn=None):
+    """A helper object with no process: what it sends goes to ``conn``."""
+    helper = object.__new__(solver._Helper)
+    helper.conn, helper.owner = conn or _Recorder(), None
+    return helper
+
+
+def _batch(k, n=3):
+    """``k`` diagonally dominant matrices on the pattern of an n x n mesh."""
+    pattern = assembly._groups(build_uniform_mesh(n, n)).pattern
+    diagonal = pattern.indices == np.repeat(np.arange(n * n * 4), np.diff(pattern.indptr))
+    return pattern, {key: assembly._on_pattern(pattern, np.where(diagonal, 100.0 + key, -1.0))
+                     for key in range(k)}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_batch_carries_the_pattern_once(k):
+    pattern, matrices = _batch(k)
+    helper = _recording_helper()
+    helper.factor(matrices)
+    (header,) = helper.conn.objects
+    assert header[:2] == ("factor", list(range(k))) and len(header[2]) == 2 + k
+    assert helper.conn.arrays == [pattern.indptr.tobytes(), pattern.indices.tobytes()] + [
+        A.data.tobytes() for A in matrices.values()]
+
+
+@pytest.mark.parametrize("copied", ["indptr", "indices"])
+def test_batch_on_two_patterns_is_refused_before_sending(copied):
+    pattern, matrices = _batch(2)
+    arrays = {"indptr": pattern.indptr, "indices": pattern.indices}
+    arrays[copied] = arrays[copied].copy()   # equal values, other memory
+    matrices[1] = sps.csr_matrix((matrices[1].data, arrays["indices"], arrays["indptr"]),
+                                 shape=pattern.shape)
+    helper = _recording_helper()
+    with pytest.raises(ValueError, match="share one pattern"):
+        helper.factor(matrices)
+    assert helper.conn.objects == [] and helper.conn.arrays == []
+
+
+def test_served_batch_shares_one_pattern_and_solves_as_here(monkeypatch):
+    # the helper's loop, run on a thread of this process: every matrix of a
+    # batch is built on the same received index arrays, and each solve gives
+    # the bits of solve_linear
+    pattern, matrices = _batch(2)
+    served = []
+    factorization = solver._Factorization
+
+    def spy(matrix):
+        served.append(matrix)
+        return factorization(matrix)
+
+    monkeypatch.setattr(solver, "_Factorization", spy)
+    parent, child = multiprocessing.Pipe()
+    loop = threading.Thread(target=solver._serve, args=(os.dup(child.fileno()),))
+    child.close()
+    loop.start()
+    try:
+        assert parent.recv() == "ready"
+        helper = _recording_helper(parent)
+        helper.factor(matrices)
+        rhs = np.linspace(-1.0, 1.0, pattern.shape[0])
+        solved = {key: helper.solve(key, rhs) for key in matrices}
+    finally:
+        parent.close()
+        loop.join(timeout=30)
+    assert not loop.is_alive()
+    first, second = served
+    for a, b in ((first.indptr, second.indptr), (first.indices, second.indices)):
+        assert a.ctypes.data == b.ctypes.data and a.shape == b.shape
+    for key, A in matrices.items():
+        expected = solver.solve_linear(LinearSystem(A, rhs, np.empty(0, dtype=np.int64),
+                                                    np.empty(0)))
+        assert np.array_equal(solved[key], expected)
 
 
 # -- no process left behind -------------------------------------------------------

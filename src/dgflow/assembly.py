@@ -182,7 +182,6 @@ def _groups(mesh: Mesh) -> SimpleNamespace:
         fids = mesh.boundary_by_side[side]
         elems = mesh.face_k1[fids]
         loc = np.array(EDGE_NODES[edge])
-        nodes = mesh.node_coords[elems][:, loc, :]
         along = 1 if edge in (LEFT, RIGHT) else 0   # coordinate along the side
         ref = np.empty((len(s_param), 2))
         ref[:, along] = s_param
@@ -192,9 +191,8 @@ def _groups(mesh: Mesh) -> SimpleNamespace:
         boundary[side] = SimpleNamespace(
             fids=fids, elems=elems, edge=edge,
             normal=EDGE_NORMALS[edge], h=mesh.face_length[fids],
-            # nodal DOFs on the side and their coordinates (Dirichlet data)
+            # nodal DOFs on the side (Dirichlet data)
             dofs=(4 * elems[:, None] + loc[None, :]).ravel(),
-            x=nodes[..., 0].ravel(), y=nodes[..., 1].ravel(),
             # face quadrature points and weighted traces (Neumann data)
             qx=qpts[..., 0], qy=qpts[..., 1], trw=t.trace_phi[edge] * w,
         )
@@ -493,29 +491,20 @@ def _saturation_rhs(mesh, coeffs, case, t_next, tau, velocity, phase, sat_prev,
 # -- Dirichlet constraints ---------------------------------------------------
 
 def dirichlet_constraints(mesh, case, unknown, t):
-    """Constrained DOF ids and nodal boundary values for one unknown."""
-    data_fn = getattr(case, "boundary_" + unknown)
-    sides = [_groups(mesh).boundary[side] for side in case.dirichlet_sides[unknown]]
-    dofs = np.concatenate([np.empty(0, dtype=np.int64)] + [bg.dofs for bg in sides])
-    vals = [np.asarray(data_fn(t, bg.x, bg.y), dtype=float).ravel() for bg in sides]
-    vals = np.concatenate([np.empty(0)] + vals)
+    """Constrained DOF ids of one unknown, sorted and each once, and its
+    boundary data at their nodes: one call of the data, broadcast to the
+    DOFs, so a node shared by two Dirichlet sides is evaluated once."""
+    groups = _groups(mesh).boundary
+    dofs = np.unique(np.concatenate([np.empty(0, dtype=np.int64)] + [
+        groups[side].dofs for side in case.dirichlet_sides[unknown]]))
+    x, y = mesh.node_coords.reshape(-1, 2)[dofs].T
+    vals = np.broadcast_to(np.asarray(getattr(case, "boundary_" + unknown)(t, x, y),
+                                      dtype=float), dofs.shape)
     bad = dofs[~np.isfinite(vals)]
     if bad.size:
         raise NonFiniteFieldError(f"the Dirichlet data of {unknown} at t={t:g} are not "
                                   f"finite at DOF {bad.min()}")
-    return _dedupe_constraints(dofs, vals)
-
-
-def _dedupe_constraints(dofs, vals):
-    """Sorted unique DOFs with their values; a DOF given two different
-    values raises, naming the smallest such DOF."""
-    uniq, first, inverse = np.unique(dofs, return_index=True, return_inverse=True)
-    conflict = vals != vals[first][inverse]
-    if np.any(conflict):
-        dof = uniq[inverse[conflict]].min()
-        given = sorted(set(vals[dofs == dof].tolist()))
-        raise ConflictingConstraintError(f"DOF {dof} received conflicting values {given}")
-    return uniq, vals[first]
+    return dofs, vals
 
 
 def apply_dirichlet(matrix, rhs, dofs, values):
@@ -526,14 +515,23 @@ def apply_dirichlet(matrix, rhs, dofs, values):
     does) becomes 1, and the right-hand side carries the value.  Columns
     are not eliminated, so the result has the input's CSR pattern (summed
     first if not canonical).  Returns a new ``(csr_matrix, rhs)`` and leaves
-    the input alone; assembly replaces the rows of its own in place.
+    the input alone; assembly replaces the rows of its own in place.  The
+    DOFs may come in any order and repeat with the same value; a DOF given
+    two different values raises :class:`ConflictingConstraintError`, naming
+    the smallest such DOF.
     """
     dofs = np.asarray(dofs, dtype=np.int64)
     values = np.asarray(values, dtype=float)
     bad = dofs[~np.isfinite(values)]
     if bad.size:
         raise ValueError(f"DOF {bad.min()} received a non-finite value")
-    dofs, values = _dedupe_constraints(dofs, values)
+    uniq, first, inverse = np.unique(dofs, return_index=True, return_inverse=True)
+    conflict = values != values[first][inverse]
+    if np.any(conflict):
+        dof = uniq[inverse[conflict]].min()
+        given = sorted(set(values[dofs == dof].tolist()))
+        raise ConflictingConstraintError(f"DOF {dof} received conflicting values {given}")
+    dofs, values = uniq, values[first]
     A = matrix.tocsr()
     if A.has_canonical_format:   # a new matrix on the input's index arrays
         A = sps.csr_matrix((A.data.copy(), A.indices, A.indptr), shape=A.shape)
@@ -624,10 +622,11 @@ def _saturation_form(phase, mesh, cfg, case, tau, coeffs) -> sps.csr_matrix:
 
 
 def _saturation_matrix(phase, mesh, cfg, case, tau, t_next, coeffs):
-    """``(matrix, dofs, values)`` of one saturation system: the constrained
-    matrix, which depends only on the lagged coefficients, tau and the
-    Dirichlet DOFs, and the constraints, which its :func:`_saturation_rhs`
-    takes as ``rhs[dofs] = values``.  ``assemble_*`` gives the same bits."""
+    """``(matrix, dofs, values)`` of one saturation system for the helper's
+    hand-over: the constrained matrix, which depends only on the lagged
+    coefficients, tau and the Dirichlet DOFs, and the constraints, which its
+    :func:`_saturation_rhs` takes as ``rhs[dofs] = values``.  ``assemble_*``
+    gives the same bits."""
     dofs, vals = dirichlet_constraints(mesh, case, "sat_" + phase, t_next)
     matrix = _saturation_form(phase, mesh, cfg, case, tau, coeffs)
     _constrain(matrix, dofs)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -51,8 +52,9 @@ class RunConfig:
     def __post_init__(self):
         if self.case not in KNOWN_CASES:
             raise ConfigError(f"unknown case {self.case!r}; known: {KNOWN_CASES}")
-        if self.levels < 2:
-            raise ConfigError("need at least two ladder levels for rates")
+        if not (isinstance(self.levels, numbers.Integral) and self.levels >= 2):
+            raise ConfigError(f"need a whole number of at least two ladder levels for "
+                              f"rates, got {self.levels!r}")
         if self.tau_rule not in TAU_RULES:
             raise ConfigError(f"unknown tau rule {self.tau_rule!r}")
         if self.tau_rule == "fixed" and not self.tau:

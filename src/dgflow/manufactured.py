@@ -193,8 +193,10 @@ class ManufacturedCase:
         each derivative the sources need must be real-valued.
     dirichlet_sides : dict, optional
         Per-unknown Dirichlet boundary sides, keys ``pressure`` /
-        ``sat_a`` / ``sat_v``; every side defaults to Dirichlet.
-        Non-Dirichlet sides are Neumann and served by :meth:`neumann`.
+        ``sat_a`` / ``sat_v``, each a tuple or list of names from
+        ``SIDE_NAMES``; every side defaults to Dirichlet.  Anything else
+        raises ``ValueError``.  Non-Dirichlet sides are Neumann and served
+        by :meth:`neumann`.
     """
 
     def __init__(self, name: str, fluids: FluidProperties,
@@ -203,6 +205,14 @@ class ManufacturedCase:
         self.name = name
         self.fluids = fluids
         sides = dirichlet_sides or {}
+        for unknown, names in sides.items():
+            if unknown not in UNKNOWNS:
+                raise ValueError(f"dirichlet_sides: {unknown!r} is not one of {UNKNOWNS}")
+            bad = ([side for side in names if side not in SIDE_NAMES]
+                   if isinstance(names, (tuple, list)) else [names])
+            if bad:
+                raise ValueError(f"dirichlet_sides[{unknown!r}] takes a tuple or list of "
+                                 f"sides from {SIDE_NAMES}, not {bad[0]!r}")
         self.dirichlet_sides = {u: tuple(sides.get(u, SIDE_NAMES)) for u in UNKNOWNS}
 
         # atoms: value, d/dx, d/dy, d2/dx2, d2/dy2 of each field, d/dt s_a, d/dt s_v

@@ -19,8 +19,8 @@ the helper failed to start, they are solved here, in the serial order.
   (never at import) and waited for once, that lives as long as this
   process.  It exits when its pipe reaches EOF: when this process closes
   it at exit, or dies, even by SIGKILL.  If it dies, the next step starts
-  another; a step that loses it builds its saturation matrices again and
-  solves them here.
+  another; a step that loses it builds its saturation systems again, with
+  ``assemble_aqueous`` and ``assemble_vapor``, and solves them here.
 * Its costs (gravity case, single-threaded BLAS, 2 vCPUs; see the README
   and ``tools/helper_sweep.py``, ``tools/memory_phases.py``): a start of
   about 0.35 s on the first step (a three-level CLI ladder to 8x8: 1.0 s
@@ -423,11 +423,12 @@ def _can_run_helper() -> bool:
 class _SaturationSolves:
     """The saturation solves of one step.  With the helper, both matrices
     are built and handed over here, before the pressure solve, and this
-    process keeps only what constrains each right-hand side; if the helper
-    is lost, a matrix is built again and solved here.  Without it, nothing
-    would run beside the pressure solve, so each matrix is built when it is
-    solved, in the serial order: building both first made 16x16 steps 4%
-    slower and their peak memory 0.5% higher."""
+    process keeps only what constrains each right-hand side.  Without it,
+    or once it is lost, a system comes from the public calls
+    ``assemble_aqueous`` and ``assemble_vapor`` when it is solved, in the
+    serial order: nothing would run beside the pressure solve, and building
+    both matrices first made 16x16 steps 4% slower and their peak memory
+    0.5% higher."""
 
     def __init__(self, state, cfg, case, tau, t_next, coeffs: LaggedCoefficients):
         self.state, self.cfg, self.case, self.tau, self.t_next, self.coeffs = (
@@ -438,33 +439,30 @@ class _SaturationSolves:
             return
         matrices = {}
         for phase in "av":
-            matrices[phase], *self.constraints[phase] = self._matrix(phase)
+            matrices[phase], *self.constraints[phase] = assembly._saturation_matrix(
+                phase, state.mesh, cfg, case, tau, t_next, coeffs)
         try:
             self.helper.factor(matrices)
         except _HelperLost:
             self.helper = None
 
-    def _matrix(self, phase):
-        return assembly._saturation_matrix(phase, self.state.mesh, self.cfg, self.case,
-                                           self.tau, self.t_next, self.coeffs)
-
-    def solve(self, phase: str, p_new: DGField, velocity) -> DGField:
-        state = self.state
-        rhs = assembly._saturation_rhs(state.mesh, self.coeffs, self.case, self.t_next,
-                                       self.tau, velocity, phase,
-                                       getattr(state, "sat_" + phase), p_new)
-        if self.helper is None:
-            matrix, dofs, values = self._matrix(phase)
-            rhs[dofs] = values
-            x = _Factorization(matrix).solve(rhs)
-        else:
+    def solve(self, phase: str, p_new: DGField, velocity, sa_new=None) -> DGField:
+        # sa_new, the new aqueous saturation, is passed to assemble_vapor, unread
+        state, mesh = self.state, self.state.mesh
+        if self.helper is not None:
+            rhs = assembly._saturation_rhs(mesh, self.coeffs, self.case, self.t_next,
+                                           self.tau, velocity, phase,
+                                           getattr(state, "sat_" + phase), p_new)
             dofs, values = self.constraints.pop(phase)
             rhs[dofs] = values
             try:
-                x = self.helper.solve(phase, rhs)
+                return DGField.from_vector(mesh, self.helper.solve(phase, rhs), "sat_" + phase)
             except _HelperLost:
-                x = _Factorization(self._matrix(phase)[0]).solve(rhs)
-        return DGField.from_vector(state.mesh, x, "sat_" + phase)
+                self.helper = None
+        rest = (velocity, mesh, self.cfg, self.case, self.tau, self.t_next, self.coeffs)
+        system = (assembly.assemble_aqueous(state, p_new, *rest) if phase == "a"
+                  else assembly.assemble_vapor(state, p_new, sa_new, *rest))
+        return DGField.from_vector(mesh, solve_linear(system), "sat_" + phase)
 
 
 def initialize(case, mesh: Mesh) -> PhaseState:
@@ -485,8 +483,12 @@ def advance(state: PhaseState, tau: float, cfg: SchemeConfig, case) -> PhaseStat
     and handed over to be factored.  Then come the pressure solve, the
     RT0 projection and the two saturation right-hand sides and solves.
     The new state has the same bits wherever the saturations are solved.
-    Errors raised by the solves or the coefficient checks name the step.
+    Errors raised by the solves or the coefficient checks name the step, as
+    does the ``ValueError`` for a ``tau`` that is not finite and positive.
     """
+    if not (np.isfinite(tau) and tau > 0):
+        raise ValueError(f"step {state.step} -> {state.step + 1}: the time step must be "
+                         f"finite and positive, got {tau}")
     mesh = state.mesh
     t_next = state.time + tau
     try:
@@ -496,7 +498,7 @@ def advance(state: PhaseState, tau: float, cfg: SchemeConfig, case) -> PhaseStat
             state, mesh, cfg, case, t_next, coeffs)), "pressure")
         velocity = assembly.rt0_project(p_new, state, mesh, cfg, coeffs)
         sa_new = saturations.solve("a", p_new, velocity)
-        sv_new = saturations.solve("v", p_new, velocity)
+        sv_new = saturations.solve("v", p_new, velocity, sa_new)
     except STEP_ERRORS as exc:
         raise type(exc)(f"step {state.step} -> {state.step + 1}: {exc}") from exc
     return PhaseState(p_new, sa_new, sv_new, state.step + 1, t_next)

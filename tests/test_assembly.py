@@ -15,7 +15,7 @@ from dgflow.dg_core import DGField, evaluate, tables
 from dgflow.manufactured import constant_densities_case, gravity_case
 from dgflow.mesh import build_uniform_mesh
 from dgflow.physics import FluidProperties
-from dgflow.solver import PhaseState, initialize, solve_linear
+from dgflow.solver import PhaseState, advance, initialize, solve_linear
 
 from helpers import (StubCase, constant_state, nodal_interpolant,
                      reference_trace_constant, rt_moments_oracle)
@@ -553,6 +553,32 @@ def test_dirichlet_constraints_cover_boundary_nodes():
     assert len(dofs) == 12
     xy = mesh.node_coords.reshape(-1, 2)[dofs]
     assert np.allclose(vals, 1.0 + xy[:, 0] + xy[:, 1])
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_dirichlet_data_are_evaluated_once_per_boundary_node(n):
+    # four Dirichlet sides: 8n side DOFs, of which the four corners are shared
+    mesh = build_uniform_mesh(n, n)
+    calls = []
+
+    def data(t, x, y):
+        calls.append((np.shape(x), np.shape(y)))
+        return np.sin(3.0 * x) + y**2 + t
+
+    dofs, vals = dirichlet_constraints(mesh, StubCase(pressure=data), "pressure", 0.5)
+    assert calls == [((8 * n - 4,), (8 * n - 4,))]
+    assert np.all(np.diff(dofs) > 0)
+    x, y = mesh.node_coords.reshape(-1, 2)[dofs].T
+    assert np.array_equal(vals, np.sin(3.0 * x) + y**2 + 0.5)
+
+
+def test_scalar_dirichlet_data_give_the_constant_at_every_dof():
+    mesh = build_uniform_mesh(4, 4)
+    case = StubCase(pressure=lambda t, x, y: 1.0)
+    dofs, vals = dirichlet_constraints(mesh, case, "pressure", 0.0)
+    assert len(dofs) == 28 and vals.shape == dofs.shape and np.all(vals == 1.0)
+    state = advance(constant_state(mesh), 0.25, NIPG, case)
+    assert np.all(np.isfinite(state.pressure.coeffs))
 
 
 def test_forms_scale_with_permeability():

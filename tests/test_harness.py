@@ -44,6 +44,12 @@ def test_single_level_rejected():
         RunConfig(levels=1)
 
 
+@pytest.mark.parametrize("levels", [2.5, "3", None])
+def test_levels_must_be_a_whole_number(levels):
+    with pytest.raises(ConfigError, match="ladder levels"):
+        RunConfig(levels=levels)
+
+
 def test_fixed_rule_needs_tau():
     with pytest.raises(ConfigError):
         RunConfig(tau_rule="fixed")

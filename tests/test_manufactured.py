@@ -152,6 +152,24 @@ def test_cli_rejects_a_call_without_running_it(monkeypatch, capsys):
     assert "not allowed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sides, named", [
+    ({"press": ("left",)}, "'press'"),
+    ({"pressure": ("left", "nowhere")}, "'nowhere'"),
+    ({"sat_a": "left"}, "'left'"),
+    ({"sat_v": None}, "'sat_v'"),
+])
+def test_dirichlet_sides_are_checked_when_the_case_is_built(sides, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        ManufacturedCase("bad", FluidProperties(), dirichlet_sides=sides)
+
+
+def test_valid_dirichlet_sides_are_kept_as_tuples():
+    case = ManufacturedCase("ok", FluidProperties(),
+                            dirichlet_sides={"pressure": ["left", "top"], "sat_a": ()})
+    assert case.dirichlet_sides == {"pressure": ("left", "top"), "sat_a": (),
+                                    "sat_v": ("left", "right", "bottom", "top")}
+
+
 def test_time_step_callables_are_built_eagerly_the_rest_lazily():
     case = constant_densities_case()
     built = vars(case)

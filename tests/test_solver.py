@@ -213,6 +213,21 @@ def test_solver_error_carries_step_index():
     assert "step 0 -> 1" in str(err.value)
 
 
+@pytest.mark.parametrize("tau", [0.0, -0.25, math.inf, math.nan])
+def test_advance_refuses_a_step_that_is_not_finite_and_positive(tau, monkeypatch):
+    # refused by name before any work: no coefficients are built
+    mesh = build_uniform_mesh(4, 4)
+    state = constant_state(mesh)
+
+    def unreachable(*args):
+        raise AssertionError("advance started a step")
+
+    monkeypatch.setattr(solver, "LaggedCoefficients", unreachable)
+    with pytest.raises(ValueError, match=r"^step 0 -> 1: the time step must be finite "
+                                         r"and positive, got "):
+        advance(state, tau, SchemeConfig(), StubCase())
+
+
 def test_coefficient_error_carries_step_index(monkeypatch):
     case = constant_densities_case()
     state = initialize(case, build_uniform_mesh(2, 2))

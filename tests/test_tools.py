@@ -1,13 +1,17 @@
 """The measurement tools still run against the package.
 
 ``tools/memory_phases.py`` wraps ``solver._factor_plan``, ``solver._factor``
-and ``solver._SaturationSolves`` by name, so a change to any of them that
-the tool no longer fits fails here rather than at the next measurement.
+and ``solver._SaturationSolves`` by name, and ``tools/helper_sweep.py``
+patches ``solver._can_run_helper`` and reads ``solver._helper``, so a
+change to any of them that a tool no longer fits fails here rather than at
+the next measurement.
 """
 
 import pathlib
 import subprocess
 import sys
+
+from dgflow import solver
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -26,3 +30,14 @@ def test_memory_phases_prints_every_stage(tmp_path):
     stages = [" ".join(line.split()[1:-5]) for line in lines if line.split()[0] == "0"]
     assert stages[0] == "set-up" and set(stages) == set(STAGES)
     assert lines[-1].startswith("# main ru_maxrss ")
+
+
+def test_helper_sweep_prints_one_row_per_size(tmp_path):
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "helper_sweep.py"),
+                           "--sizes", "4", "--reps", "1", "--steps", "2", "--warmup", "1"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    rows = [line for line in done.stdout.splitlines() if line.split()[:1] == ["4x4"]]
+    assert len(rows) == 1
+    # the helper runs exactly where this machine can run it
+    assert rows[0].endswith(f"in the helper {int(solver._can_run_helper())}/1")

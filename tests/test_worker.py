@@ -115,6 +115,25 @@ def test_one_usable_cpu_stays_in_process(case, start, fresh_helper, monkeypatch)
     assert solver._helper is None
 
 
+def test_one_usable_cpu_builds_the_saturations_from_the_public_calls(case, start,
+                                                                   fresh_helper,
+                                                                   monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    calls = []
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("assemble_aqueous", "assemble_vapor", "_saturation_matrix"):
+        monkeypatch.setattr(assembly, name, counted(name, getattr(assembly, name)))
+    advance(start, TAU, SchemeConfig(), case)
+    assert calls == ["assemble_aqueous", "assemble_vapor"]
+    assert solver._helper is None
+
+
 def test_helper_that_cannot_start_leaves_the_step_in_process(case, start, fresh_helper,
                                                             monkeypatch):
     # any error while the helper starts (say, a Popen argument this Python

@@ -105,9 +105,12 @@ class Recorder:
 def stage_patches(rec: Recorder) -> list:
     """Wrap what ``advance`` calls, where it looks each one up."""
     sat_solve = solver._SaturationSolves.solve
+    solve_linear = solver.solve_linear
 
     def saturation_solve(self, phase, *args):
-        return rec.after(f"{phase} solve", sat_solve)(self, phase, *args)
+        # a saturation solved here goes through solve_linear: not a pressure solve
+        with mock.patch.object(solver, "solve_linear", solve_linear):
+            return rec.after(f"{phase} solve", sat_solve)(self, phase, *args)
 
     return [
         mock.patch.object(solver, "LaggedCoefficients",

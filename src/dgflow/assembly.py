@@ -43,9 +43,9 @@ import numpy as np
 import scipy.sparse as sps
 
 from . import physics
-from .dg_core import DGField, EDGE_NODES, EDGE_NORMALS, FACE_POINTS, tables
+from .dg_core import DGField, EDGE_NODES, FACE_POINTS, tables
 from .manufactured import NonFiniteFieldError
-from .mesh import Mesh, LEFT, RIGHT, BOTTOM, TOP, SIDE_NAMES
+from .mesh import EDGE_NORMALS, Mesh, LEFT, RIGHT, BOTTOM, TOP, SIDE_NAMES
 
 
 class NonPositiveCoefficientError(RuntimeError):
@@ -177,17 +177,11 @@ def _groups(mesh: Mesh) -> SimpleNamespace:
             T2=(Jw[:, None, :] * grad[e2][None]).reshape(32, -1),
         ))
     boundary = {}
-    s_param = t.face_rule.points
     for edge, side in enumerate(SIDE_NAMES):
         fids = mesh.boundary_by_side[side]
         elems = mesh.face_k1[fids]
         loc = np.array(EDGE_NODES[edge])
-        along = 1 if edge in (LEFT, RIGHT) else 0   # coordinate along the side
-        ref = np.empty((len(s_param), 2))
-        ref[:, along] = s_param
-        ref[:, 1 - along] = 1.0 if edge in (RIGHT, TOP) else 0.0
-        qpts = (mesh.elem_origin[elems][:, None, :]
-                + ref[None, :, :] * np.array([mesh.dx, mesh.dy]))
+        qpts = mesh.points(t.edge_points[edge])[elems]
         boundary[side] = SimpleNamespace(
             fids=fids, elems=elems, edge=edge,
             normal=EDGE_NORMALS[edge], h=mesh.face_length[fids],
@@ -518,10 +512,27 @@ def apply_dirichlet(matrix, rhs, dofs, values):
     the input alone; assembly replaces the rows of its own in place.  The
     DOFs may come in any order and repeat with the same value; a DOF given
     two different values raises :class:`ConflictingConstraintError`, naming
-    the smallest such DOF.
+    the smallest such DOF.  A DOF that is not a whole number or not a row
+    of ``matrix``, DOFs and values of different shapes, and a right-hand
+    side that is not one value per row raise ``ValueError`` naming them.
     """
-    dofs = np.asarray(dofs, dtype=np.int64)
-    values = np.asarray(values, dtype=float)
+    given, values = np.asarray(dofs), np.asarray(values, dtype=float)
+    if np.shape(rhs) != matrix.shape[:1]:
+        raise ValueError(f"a right-hand side of shape {np.shape(rhs)} for a matrix of "
+                         f"shape {matrix.shape}")
+    if given.shape != values.shape or given.ndim != 1:
+        raise ValueError(f"{given.size} DOFs and {values.size} values (shapes {given.shape} "
+                         f"and {values.shape}): they must be 1-D and of one length")
+    if given.dtype.kind not in "iuf":
+        raise ValueError(f"DOFs must be integers, got {given.dtype} {given.tolist()}")
+    with np.errstate(invalid="ignore"):
+        dofs = given.astype(np.int64)
+    bad = given[given != dofs]
+    if bad.size:
+        raise ValueError(f"DOF {bad[0]} is not an integer")
+    bad = dofs[(dofs < 0) | (dofs >= matrix.shape[0])]
+    if bad.size:
+        raise ValueError(f"DOF {bad[0]} is not a row of the {matrix.shape[0]}-row matrix")
     bad = dofs[~np.isfinite(values)]
     if bad.size:
         raise ValueError(f"DOF {bad.min()} received a non-finite value")

@@ -21,17 +21,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .mesh import Mesh, Face, LEFT, RIGHT, BOTTOM, TOP
+from .mesh import EDGE_NORMALS, Mesh, Face, LEFT, RIGHT, BOTTOM, TOP
 
 # Local nodes of each element edge, matching the node order
 # (0,0), (1,0), (0,1), (1,1) of the reference square.
 EDGE_NODES = {LEFT: (0, 2), RIGHT: (1, 3), BOTTOM: (0, 1), TOP: (2, 3)}
-
-# Outward reference normals of the four element edges.
-EDGE_NORMALS = {
-    LEFT: np.array([-1.0, 0.0]), RIGHT: np.array([1.0, 0.0]),
-    BOTTOM: np.array([0.0, -1.0]), TOP: np.array([0.0, 1.0]),
-}
 
 
 class SingularMassMatrixError(RuntimeError):
@@ -168,7 +162,7 @@ class Q1Tables:
         # Edge reference parametrizations: vertical faces run bottom->top,
         # horizontal faces left->right; both adjacent elements see the same
         # physical point for the same parameter value.
-        edge_points = {
+        self.edge_points = {
             LEFT: np.column_stack([np.zeros_like(s), s]),
             RIGHT: np.column_stack([np.ones_like(s), s]),
             BOTTOM: np.column_stack([s, np.zeros_like(s)]),
@@ -177,7 +171,7 @@ class Q1Tables:
         self.trace_phi = {}
         self.trace_gx = {}
         self.trace_gy = {}
-        for edge, pts in edge_points.items():
+        for edge, pts in self.edge_points.items():
             self.trace_phi[edge] = basis_values(pts).T        # (4, nfq)
             g = basis_gradients(pts)
             self.trace_gx[edge] = g[:, :, 0].T / dx
@@ -187,8 +181,7 @@ class Q1Tables:
                           + np.arange(4)[None, :])
 
         # physical volume quadrature coordinates, (n_elements, nq, 2)
-        self.qpoints = (mesh.elem_origin[:, None, :]
-                        + vol.points[None, :, :] * np.array([dx, dy]))
+        self.qpoints = mesh.points(vol.points)
 
     @functools.cached_property
     def error_rule(self) -> SimpleNamespace:
@@ -201,8 +194,7 @@ class Q1Tables:
         err = gauss_2d(ERROR_POINTS)
         return SimpleNamespace(
             phi=basis_values(err.points).T, wdet=err.weights * (mesh.dx * mesh.dy),
-            qpoints=(mesh.elem_origin[:, None, :]
-                     + err.points[None, :, :] * np.array([mesh.dx, mesh.dy])))
+            qpoints=mesh.points(err.points))
 
 
 _tables_cache: "weakref.WeakKeyDictionary[Mesh, Q1Tables]" = weakref.WeakKeyDictionary()

@@ -1,10 +1,17 @@
 """Structured quadrilateral meshes with oriented faces for face-based DG assembly.
 
-The mesh is a uniform nx-by-ny lattice of axis-aligned rectangles.  Every
-interior face stores one fixed unit normal pointing from its first adjacent
-element ``k1`` into the second ``k2``; boundary faces store the outward
-normal of their single element.  All geometry and connectivity is held in
-read-only numpy arrays so a mesh can be shared freely once built.
+The mesh is a uniform nx-by-ny lattice of axis-aligned rectangles.  It is
+built from one map, ``elem_to_faces``, and one ownership rule: an element
+is the first adjacent element ``k1`` of a face exactly where the face's
+stored unit normal is its outward normal (``elem_face_sign`` +1), which
+holds on its right and top faces, and on its left and bottom faces only at
+the boundary.  So every interior face's normal points from ``k1`` into the
+second element ``k2``, and boundary faces store the outward normal of
+their single element.  Every face array is scattered from the map by that
+rule, and the face groups are read off ``face_k2`` and ``face_tag``.
+Physical points of reference points come from one affine map,
+:meth:`Mesh.points`.  All arrays are read-only (``boundary_by_side`` is a
+read-only mapping), so a mesh can be shared freely once built.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -22,6 +30,10 @@ LEFT, RIGHT, BOTTOM, TOP = 0, 1, 2, 3
 SIDE_NAMES = ("left", "right", "bottom", "top")
 
 INTERIOR = -1  # boundary-tag value for interior faces
+
+# Outward unit normals of the four local face slots, one row per slot.
+EDGE_NORMALS = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
+EDGE_NORMALS.flags.writeable = False
 
 
 class InvalidDomainError(ValueError):
@@ -55,7 +67,11 @@ class Mesh:
     """
 
     def __init__(self, nx: int, ny: int, domain=(0.0, 0.0, 1.0, 1.0)):
-        x0, y0, x1, y1 = (float(v) for v in domain)
+        try:
+            x0, y0, x1, y1 = (float(v) for v in domain)
+        except (TypeError, ValueError) as exc:
+            raise InvalidDomainError(f"domain must be four numbers (x0, y0, x1, y1), "
+                                     f"got {domain!r}") from exc
         if not all(isinstance(n, numbers.Integral) and n >= 1 for n in (nx, ny)):
             raise ValueError(f"element counts must be integers >= 1, got nx={nx!r}, "
                              f"ny={ny!r}")
@@ -68,108 +84,64 @@ class Mesh:
         self.dx = (x1 - x0) / nx
         self.dy = (y1 - y0) / ny
         self.n_elements = self.nx * self.ny
-
-        self._build_faces()
-        self._build_element_connectivity()
-        for arr in (self.face_k1, self.face_k2, self.face_normal,
-                    self.face_length, self.face_midpoint, self.face_tag,
-                    self.elem_to_faces, self.elem_face_sign, self.elem_origin):
-            arr.flags.writeable = False
+        self._build()
 
     # -- construction ------------------------------------------------------
 
-    def _build_faces(self):
+    def _build(self):
         nx, ny, dx, dy = self.nx, self.ny, self.dx, self.dy
-        x0, y0 = self.domain[0], self.domain[1]
-        n_v = (nx + 1) * ny      # vertical faces, id = i*ny + j
-        n_h = (ny + 1) * nx      # horizontal faces, id = n_v + j*nx + i
-        n_f = n_v + n_h
-        self.n_faces = n_f
-        self._n_vertical = n_v
+        n_v = (nx + 1) * ny
+        n_f = self.n_faces = n_v + (ny + 1) * nx
+        j, i = np.divmod(np.arange(self.n_elements), nx)
 
-        k1 = np.empty(n_f, dtype=np.int64)
-        k2 = np.full(n_f, -1, dtype=np.int64)
-        normal = np.zeros((n_f, 2))
-        tag = np.full(n_f, INTERIOR, dtype=np.int64)
+        # the column and row of each element's four faces; vertical faces are
+        # numbered i*ny + j, horizontal ones n_v + j*nx + i
+        vertical = EDGE_NORMALS[:, 0] != 0.0
+        col = i[:, None] + (EDGE_NORMALS[:, 0] > 0)
+        row = j[:, None] + (EDGE_NORMALS[:, 1] > 0)
+        e2f = np.where(vertical, col * ny + row, n_v + row * nx + col)
+        # the faces in column 0 or nx, or in row 0 or ny, are on the boundary
+        boundary = np.where(vertical, col % nx, row % ny) == 0
+        # the ownership rule: k1 where the stored normal is the outward one;
+        # flat indices into (element, slot)
+        owner = boundary | (EDGE_NORMALS.sum(axis=1) > 0)
+        own, other = np.flatnonzero(owner), np.flatnonzero(~owner)
 
-        i, j = np.meshgrid(np.arange(nx + 1), np.arange(ny), indexing="ij")
-        vid = (i * ny + j).ravel()
-        iv, jv = i.ravel(), j.ravel()
-        left_elem = jv * nx + (iv - 1)
-        right_elem = jv * nx + iv
-        interior_v = (iv > 0) & (iv < nx)
-        k1[vid] = np.where(iv == 0, right_elem, left_elem)
-        k2[vid[interior_v]] = right_elem[interior_v]
-        normal[vid, 0] = np.where(iv == 0, -1.0, 1.0)
-        tag[vid[iv == 0]] = 0     # left
-        tag[vid[iv == nx]] = 1    # right
+        self.face_k1 = np.empty(n_f, dtype=np.int64)
+        self.face_k1[e2f.take(own)] = own // 4
+        self.face_k2 = np.full(n_f, -1, dtype=np.int64)
+        self.face_k2[e2f.take(other)] = other // 4
+        k1_slot = np.empty(n_f, dtype=np.int64)
+        k1_slot[e2f.take(own)] = own % 4
+        self.face_normal = EDGE_NORMALS.take(k1_slot, axis=0)
+        # a boundary face's tag is its element's slot: SIDE_NAMES is in slot order
+        self.face_tag = np.where(self.face_k2 < 0, k1_slot, INTERIOR)
+        self.face_length = np.where(np.arange(n_f) < n_v, dy, dx)
+        # x0 + (column + offset) * dx, the same from either side of a face
+        self.face_midpoint = np.empty((n_f, 2))
+        self.face_midpoint[e2f, 0] = self.domain[0] + (col + 0.5 * ~vertical) * dx
+        self.face_midpoint[e2f, 1] = self.domain[1] + (row + 0.5 * vertical) * dy
+        self.elem_to_faces = e2f
+        self.elem_face_sign = np.where(owner, 1, -1)
+        self.elem_origin = self.domain[:2] + np.column_stack([i, j]) * (dx, dy)
 
-        i, j = np.meshgrid(np.arange(nx), np.arange(ny + 1), indexing="ij")
-        hid = (n_v + j * nx + i).ravel()
-        ih, jh = i.ravel(), j.ravel()
-        below_elem = (jh - 1) * nx + ih
-        above_elem = jh * nx + ih
-        interior_h = (jh > 0) & (jh < ny)
-        k1[hid] = np.where(jh == 0, above_elem, below_elem)
-        k2[hid[interior_h]] = above_elem[interior_h]
-        normal[hid, 1] = np.where(jh == 0, -1.0, 1.0)
-        tag[hid[jh == 0]] = 2     # bottom
-        tag[hid[jh == ny]] = 3    # top
-
-        length = np.empty(n_f)
-        length[:n_v] = dy
-        length[n_v:] = dx
-
-        midpoint = np.empty((n_f, 2))
-        midpoint[vid, 0] = x0 + iv * dx
-        midpoint[vid, 1] = y0 + (jv + 0.5) * dy
-        midpoint[hid, 0] = x0 + (ih + 0.5) * dx
-        midpoint[hid, 1] = y0 + jh * dy
-
-        self.face_k1 = k1
-        self.face_k2 = k2
-        self.face_normal = normal
-        self.face_length = length
-        self.face_midpoint = midpoint
-        self.face_tag = tag
-
-        all_ids = np.arange(n_f)
-        self.interior_vertical = vid[interior_v]
-        self.interior_horizontal = hid[interior_h]
+        # the interior faces are the right and top faces that have a k2; in
+        # column-major element order, as the face numbering puts them
+        by_column = e2f.reshape(ny, nx, 4).transpose(1, 0, 2).reshape(-1, 4)
+        right, top = by_column[:, RIGHT], by_column[:, TOP]
+        self.interior_vertical = right[self.face_k2[right] >= 0]
+        self.interior_horizontal = top[self.face_k2[top] >= 0]
         self.interior_faces = np.concatenate(
             [self.interior_vertical, self.interior_horizontal])
-        self.boundary_faces = all_ids[tag >= 0]
-        self.boundary_by_side = {
-            name: all_ids[tag == s] for s, name in enumerate(SIDE_NAMES)
-        }
-
-    def _build_element_connectivity(self):
-        nx, ny = self.nx, self.ny
-        n_v = self._n_vertical
-        i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-        eid = (j * nx + i).ravel()
-        ie, je = i.ravel(), j.ravel()
-
-        e2f = np.empty((self.n_elements, 4), dtype=np.int64)
-        e2f[eid, LEFT] = ie * ny + je
-        e2f[eid, RIGHT] = (ie + 1) * ny + je
-        e2f[eid, BOTTOM] = n_v + je * nx + ie
-        e2f[eid, TOP] = n_v + (je + 1) * nx + ie
-
-        # +1 where the stored face normal is outward from this element
-        sign = np.empty((self.n_elements, 4), dtype=np.int64)
-        sign[eid, LEFT] = np.where(ie == 0, 1, -1)
-        sign[eid, RIGHT] = 1
-        sign[eid, BOTTOM] = np.where(je == 0, 1, -1)
-        sign[eid, TOP] = 1
-
-        origin = np.empty((self.n_elements, 2))
-        origin[eid, 0] = self.domain[0] + ie * self.dx
-        origin[eid, 1] = self.domain[1] + je * self.dy
-
-        self.elem_to_faces = e2f
-        self.elem_face_sign = sign
-        self.elem_origin = origin
+        self.boundary_faces = np.flatnonzero(self.face_tag >= 0)
+        by_side = {name: np.flatnonzero(self.face_tag == s)
+                   for s, name in enumerate(SIDE_NAMES)}
+        for arr in (self.face_k1, self.face_k2, self.face_normal, self.face_tag,
+                    self.face_length, self.face_midpoint, e2f, self.elem_face_sign,
+                    self.elem_origin, self.interior_vertical, self.interior_horizontal,
+                    self.interior_faces, self.boundary_faces, *by_side.values()):
+            arr.flags.writeable = False
+        self.boundary_by_side = MappingProxyType(by_side)
 
     # -- queries -----------------------------------------------------------
 
@@ -179,6 +151,9 @@ class Mesh:
         return float(np.hypot(self.dx, self.dy))
 
     def face(self, fid: int) -> Face:
+        if not (isinstance(fid, numbers.Integral) and not isinstance(fid, bool)
+                and 0 <= fid < self.n_faces):
+            raise IndexError(f"face id {fid!r} is outside [0, {self.n_faces})")
         k2 = int(self.face_k2[fid])
         tag = int(self.face_tag[fid])
         return Face(
@@ -192,12 +167,15 @@ class Mesh:
             tag=SIDE_NAMES[tag] if tag >= 0 else None,
         )
 
+    def points(self, ref) -> np.ndarray:
+        """Physical coordinates of reference points ``ref`` (m, 2) in [0,1]^2
+        on every element, shape (n_elements, m, 2)."""
+        return self.elem_origin[:, None, :] + np.asarray(ref) * (self.dx, self.dy)
+
     @cached_property
     def node_coords(self) -> np.ndarray:
         """Corner coordinates of each element, shape (n_elements, 4, 2)."""
-        offsets = np.array([[0.0, 0.0], [self.dx, 0.0],
-                            [0.0, self.dy], [self.dx, self.dy]])
-        coords = self.elem_origin[:, None, :] + offsets[None, :, :]
+        coords = self.points([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         coords.flags.writeable = False
         return coords
 

@@ -3,6 +3,8 @@ contract of the three assemblies (``constrain=True`` equals
 ``apply_dirichlet`` applied to the ``constrain=False`` system, bit for
 bit, and so does the saturation system the solver hands over)."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
@@ -134,6 +136,39 @@ def test_apply_dirichlet_rejects_non_finite_values(bad):
     with pytest.raises(ValueError, match="DOF 1 received a non-finite value"):
         apply_dirichlet(sps.csr_matrix(np.eye(3)), np.ones(3), np.array([2, 0, 1]),
                         np.array([bad, 1.0, bad]))
+
+
+@pytest.mark.parametrize("dofs, values, message", [
+    ([1.5], [1.0], "DOF 1.5 is not an integer"),
+    ([0, np.nan], [1.0, 2.0], "DOF nan is not an integer"),
+    ([True], [1.0], "DOFs must be integers, got bool [True]"),
+    ([-1], [1.0], "DOF -1 is not a row of the 3-row matrix"),
+    ([0, 3], [1.0, 2.0], "DOF 3 is not a row of the 3-row matrix"),
+    ([0, 1], [2.0], "2 DOFs and 1 values"),
+    (np.array([[0, 1]]), np.array([[1.0, 2.0]]), "must be 1-D"),
+])
+def test_apply_dirichlet_rejects_bad_dofs_before_any_work(dofs, values, message):
+    A = sps.csr_matrix(np.eye(3))
+    rhs = np.ones(3)
+    with pytest.raises(ValueError, match=re.escape(message)) as info:
+        apply_dirichlet(A, rhs, dofs, values)
+    assert not isinstance(info.value, ConflictingConstraintError)
+
+
+@pytest.mark.parametrize("n_rhs", [2, 4])
+def test_apply_dirichlet_rejects_a_rhs_of_another_length(n_rhs):
+    with pytest.raises(ValueError, match=re.escape(f"shape ({n_rhs},) for a matrix of "
+                                                   "shape (3, 3)")):
+        apply_dirichlet(sps.csr_matrix(np.eye(3)), np.ones(n_rhs), [2], [1.0])
+
+
+def test_apply_dirichlet_takes_no_dofs_and_whole_float_dofs():
+    A = sps.csr_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
+    M, b = apply_dirichlet(A, np.ones(2), [], [])
+    assert np.array_equal(M.toarray(), A.toarray()) and np.array_equal(b, np.ones(2))
+    M, b = apply_dirichlet(A, np.ones(2), [1.0], [4.0])
+    assert np.array_equal(M.toarray(), [[2.0, 1.0], [0.0, 1.0]])
+    assert np.array_equal(b, [1.0, 4.0])
 
 
 def test_duplicated_diagonal_entry_gives_the_prescribed_value():

@@ -1,10 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from dgflow.mesh import (InvalidDomainError, LEFT, RIGHT, BOTTOM, TOP, Mesh,
-                         build_uniform_mesh)
+from dgflow.mesh import (EDGE_NORMALS, INTERIOR, InvalidDomainError, LEFT, RIGHT, BOTTOM,
+                         SIDE_NAMES, TOP, Mesh, build_uniform_mesh)
+
+UNIT = (0.0, 0.0, 1.0, 1.0)
+ORACLE_MESHES = [(1, 1, UNIT), (2, 2, UNIT), (1, 4, UNIT), (4, 1, UNIT), (5, 3, UNIT),
+                 (64, 64, UNIT), (3, 4, (-1.5, 0.25, 3.5, 8.25)),
+                 (7, 3, (0.1, 0.05, 0.8, 0.95)), (13, 9, (0.1, 0.2, 0.7, 1.3))]
 
 
 def test_single_cell_counts():
@@ -135,3 +141,100 @@ def test_face_midpoints():
     m = build_uniform_mesh(2, 2)
     f = m.face(m.interior_vertical[0])
     assert np.allclose(f.midpoint, [0.5, 0.25])
+
+
+@pytest.mark.parametrize("domain", [(0, 0, 1), (0, 0, 1, 1, 2), None, "abcd",
+                                    (0, 0, "one", 1)])
+def test_domain_that_is_not_four_numbers_raises(domain):
+    with pytest.raises(InvalidDomainError, match=re.escape(repr(domain))):
+        Mesh(2, 2, domain)
+
+
+@pytest.mark.parametrize("fid", [-1, 12, np.int64(12), 1.5, "0", True])
+def test_face_id_outside_the_faces_raises(fid):
+    with pytest.raises(IndexError, match=re.escape("outside [0, 12)")):
+        Mesh(2, 2).face(fid)
+
+
+def _public_arrays(m):
+    arrays = {name: getattr(m, name) for name in (
+        "face_k1", "face_k2", "face_normal", "face_length", "face_midpoint", "face_tag",
+        "elem_to_faces", "elem_face_sign", "elem_origin", "interior_vertical",
+        "interior_horizontal", "interior_faces", "boundary_faces", "node_coords")}
+    arrays.update({f"boundary_by_side[{s!r}]": a for s, a in m.boundary_by_side.items()})
+    return arrays
+
+
+def test_every_array_is_read_only():
+    m = Mesh(3, 2)
+    for name, arr in {**_public_arrays(m), "EDGE_NORMALS": EDGE_NORMALS}.items():
+        assert not arr.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+    with pytest.raises(TypeError):
+        m.boundary_by_side["left"] = np.arange(2)
+    assert list(m.boundary_by_side) == list(SIDE_NAMES)
+
+
+def _oracle(nx, ny, domain):
+    """Every public array of ``Mesh(nx, ny, domain)`` by a plain loop over the
+    face columns and rows."""
+    x0, y0, x1, y1 = domain
+    dx, dy = (x1 - x0) / nx, (y1 - y0) / ny
+    n_v = (nx + 1) * ny
+    faces = {}   # id: (k1, k2, normal, tag, length, midpoint)
+    for i in range(nx + 1):
+        for j in range(ny):
+            left, right = j * nx + i - 1, j * nx + i
+            k1, k2, normal, tag = ((right, -1, (-1.0, 0.0), LEFT) if i == 0 else
+                                   (left, -1, (1.0, 0.0), RIGHT) if i == nx else
+                                   (left, right, (1.0, 0.0), INTERIOR))
+            faces[i * ny + j] = (k1, k2, normal, tag, dy, (x0 + i * dx, y0 + (j + 0.5) * dy))
+    for j in range(ny + 1):
+        for i in range(nx):
+            below, above = (j - 1) * nx + i, j * nx + i
+            k1, k2, normal, tag = ((above, -1, (0.0, -1.0), BOTTOM) if j == 0 else
+                                   (below, -1, (0.0, 1.0), TOP) if j == ny else
+                                   (below, above, (0.0, 1.0), INTERIOR))
+            faces[n_v + j * nx + i] = (k1, k2, normal, tag, dx,
+                                       (x0 + (i + 0.5) * dx, y0 + j * dy))
+    columns = list(zip(*(faces[f] for f in range(len(faces)))))
+    k1, k2, normal, tag, length, midpoint = (np.array(c) for c in columns)
+    elements = [(j * nx + i, i, j) for j in range(ny) for i in range(nx)]
+    e2f = np.array([[i * ny + j, (i + 1) * ny + j, n_v + j * nx + i, n_v + (j + 1) * nx + i]
+                    for _, i, j in elements])
+    sign = np.array([[1 if i == 0 else -1, 1, 1 if j == 0 else -1, 1]
+                     for _, i, j in elements])
+    origin = np.array([(x0 + i * dx, y0 + j * dy) for _, i, j in elements])
+    expected = dict(
+        face_k1=k1, face_k2=k2, face_normal=normal, face_length=length,
+        face_midpoint=midpoint, face_tag=tag, elem_to_faces=e2f, elem_face_sign=sign,
+        elem_origin=origin,
+        interior_vertical=np.array([i * ny + j for i in range(1, nx) for j in range(ny)],
+                                   dtype=np.int64),
+        interior_horizontal=np.array([n_v + j * nx + i for i in range(nx)
+                                      for j in range(1, ny)], dtype=np.int64),
+        boundary_faces=np.flatnonzero(tag >= 0),
+        node_coords=np.array([[(x0 + i * dx + a * dx, y0 + j * dy + b * dy)
+                               for b in (0, 1) for a in (0, 1)] for _, i, j in elements]))
+    expected["interior_faces"] = np.concatenate(
+        [expected["interior_vertical"], expected["interior_horizontal"]])
+    for s, name in enumerate(SIDE_NAMES):
+        expected[f"boundary_by_side[{name!r}]"] = np.flatnonzero(tag == s)
+    return expected
+
+
+@pytest.mark.parametrize("nx, ny, domain", ORACLE_MESHES)
+def test_arrays_match_a_per_face_oracle(nx, ny, domain):
+    m = Mesh(nx, ny, domain)
+    expected = _oracle(nx, ny, m.domain)
+    actual = _public_arrays(m)
+    assert actual.keys() == expected.keys()
+    for name, want in expected.items():
+        got = actual[name]
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+    # the ownership rule: an element is k1 of exactly its faces of sign +1
+    elements = np.arange(m.n_elements)[:, None]
+    assert np.array_equal(m.elem_face_sign > 0, m.face_k1[m.elem_to_faces] == elements)
+    assert np.array_equal(m.elem_face_sign < 0, m.face_k2[m.elem_to_faces] == elements)

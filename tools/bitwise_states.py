@@ -10,10 +10,13 @@ constant-density case at 8x8, the gravity case at 16x16, two meshes one
 element thick whose vertical or horizontal interior-face group is empty
 (gravity at 1x4, constant densities at 4x1), the gravity case at 8x8 with
 Neumann sides (pressure on the right side, s_a on the top side), the
-gravity case at 32x32, and an 8x8 run that leaves no parameter at its
+gravity case at 32x32, an 8x8 run that leaves no parameter at its
 default value of 1: permeability 2.5, gravity (0.1, -0.2), a Neumann side
 for each unknown, the symmetric pressure form with penalty 5 and the
-incomplete aqueous form with penalty 3.  Each run is marched twice: once with the
+incomplete aqueous form with penalty 3, and the gravity case at 6x4 on the
+domain (0.1, 0.05, 0.8, 0.95), whose non-dyadic dx and dy check the
+geometry off the unit square (its manufactured saturations stay inside
+(0, 1) there).  Each run is marched twice: once with the
 saturations solved in-process (``solver._can_run_helper`` patched to
 False) and once as the tree itself chooses, which is the helper process
 where the tree and the machine run it.  Each tree runs in its own
@@ -40,9 +43,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 from ab_pairs import export_tree  # noqa: E402
 
+# (case, nx, ny) on the unit square, or (case, nx, ny, domain)
 RUNS = (("constant_densities", 8, 8), ("gravity", 16, 16), ("gravity", 1, 4),
         ("constant_densities", 4, 1), ("gravity_neumann", 8, 8), ("gravity", 32, 32),
-        ("kappa_theta", 8, 8))
+        ("kappa_theta", 8, 8), ("gravity", 6, 4, (0.1, 0.05, 0.8, 0.95)))
 MODES = ("in-process", "default")
 STEPS = 4
 TAU = 1 / 64
@@ -77,14 +81,14 @@ def build_case(name):
 can_run_helper = solver._can_run_helper
 out = {}
 for mode in MODES:
-    for name, nx, ny in RUNS:
+    for name, nx, ny, *domain in RUNS:
         # a helper left from the previous run would hide where this one ran
         if solver._helper is not None:
             solver._helper.close()
             solver._helper = None
         solver._can_run_helper = can_run_helper if mode == "default" else lambda: False
         case = build_case(name)
-        state = solver.initialize(case, build_uniform_mesh(nx, ny))
+        state = solver.initialize(case, build_uniform_mesh(nx, ny, *domain))
         for _ in range(STEPS):
             state = solver.advance(state, TAU, SCHEMES.get(name, SchemeConfig()), case)
         key = f"{mode}_{name}_{nx}x{ny}"
@@ -121,7 +125,7 @@ def main(argv=None) -> int:
     print(f"parent {commit} against the working tree, {STEPS} steps of tau = {TAU}; "
           "saturations solved in (parent/change)")
     same = True
-    for mode, (name, nx, ny) in itertools.product(MODES, RUNS):
+    for mode, (name, nx, ny, *_) in itertools.product(MODES, RUNS):
         key = f"{mode}_{name}_{nx}x{ny}"
         where = "/".join("helper" if side[key + "_helper"] else "in-process"
                          for side in (parent, change))
